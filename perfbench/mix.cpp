@@ -1,10 +1,9 @@
 #include "mix.hpp"
 
-#include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "common/rng.hpp"
-#include "graph/models.hpp"
 
 namespace pddl::perfbench {
 
@@ -12,7 +11,6 @@ namespace {
 
 constexpr std::array<int, 3> kClusterSizes = {4, 8, 16};
 constexpr std::size_t kSchedFrame = 24;
-constexpr std::size_t kNasFrame = 8;
 constexpr std::size_t kObservesPerTick = 2;
 
 // The campaign prices each dataset on one server class; stay on it.
@@ -87,69 +85,10 @@ void make_sched(Mix& mix, std::uint64_t seed, const sim::DdlSimulator& sim,
   }
 }
 
-// NAS ranking: every CNN of the registry on cifar10 × 3 cluster sizes, cache
-// off.  The connections take disjoint halves of the registry (alternating by
-// graph size, so both halves cost about the same), which keeps one model out
-// of two concurrent frames and so out of the service's duplicate coalescing.
-// A half is cut into 8 strata of two models of neighbouring size (a half of
-// 15 leaves its smallest model alone), and every frame takes one model from
-// each stratum, so each frame costs about the same whatever the seed.  The
-// seed picks which model of a stratum goes first, the order inside a frame
-// and how the models rotate through the cluster sizes.
-void make_nas(Mix& mix, std::uint64_t seed) {
-  const workload::DatasetDescriptor c10 = workload::cifar10();
-  std::vector<std::pair<std::size_t, std::string>> by_size;
-  for (const graph::ModelSpec& spec : graph::model_registry()) {
-    const workload::DlWorkload w(spec.name, c10, 64, 10);
-    by_size.emplace_back(w.build_graph().num_nodes(), spec.name);
-  }
-  std::sort(by_size.begin(), by_size.end());
-  std::array<std::vector<std::size_t>, 2> halves;  // model index, by size
-  for (std::size_t m = 0; m < by_size.size(); ++m) {
-    const workload::DlWorkload w(by_size[m].second, c10, 64, 10);
-    for (int servers : kClusterSizes) {
-      mix.pairs.push_back(make_request(w, servers));
-    }
-    halves[m % 2].push_back(m);
-  }
-  mix.frame = kNasFrame;
-  mix.cache_enabled = false;
-  constexpr std::size_t kSizes = kClusterSizes.size();
-  Rng base(seed);
-  for (std::size_t c = 0; c < mix.streams.size(); ++c) {
-    Rng rng = base.split();
-    std::vector<std::vector<std::size_t>> strata;
-    const std::vector<std::size_t>& half = halves[c];
-    for (std::size_t i = half.size(); i > 0; i -= std::min<std::size_t>(i, 2)) {
-      strata.push_back({half[i - 1]});
-      if (i >= 2) strata.back().push_back(half[i - 2]);
-    }
-    PDDL_CHECK(strata.size() == kNasFrame, "a half must fill one frame");
-    std::vector<std::size_t> offset(by_size.size());
-    for (std::size_t& o : offset) o = rng.uniform_int(kSizes);
-    // Per size round: two frames that together hold every model of the half.
-    for (std::size_t r = 0; r < kSizes; ++r) {
-      std::vector<std::size_t> first(strata.size());
-      for (std::size_t& f : first) f = rng.uniform_int(2);
-      for (std::size_t t = 0; t < 2; ++t) {
-        std::vector<std::size_t> order = iota(strata.size());
-        shuffle(order, rng);
-        for (std::size_t j : order) {
-          const std::vector<std::size_t>& stratum = strata[j];
-          const std::size_t m = stratum[(t + first[j]) % stratum.size()];
-          mix.streams[c].positions.push_back(m * kSizes +
-                                             (r + offset[m]) % kSizes);
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 
 bool parse_workload(const std::string& name, Workload& out) {
-  for (Workload w :
-       {Workload::kSchedHot, Workload::kNasCold, Workload::kSchedObserve}) {
+  for (Workload w : {Workload::kSchedHot, Workload::kSchedObserve}) {
     if (name == workload_name(w)) {
       out = w;
       return true;
@@ -162,8 +101,6 @@ const char* workload_name(Workload w) {
   switch (w) {
     case Workload::kSchedHot:
       return "sched_hot";
-    case Workload::kNasCold:
-      return "nas_cold";
     case Workload::kSchedObserve:
       return "sched_observe";
   }
@@ -183,11 +120,7 @@ Mix make_mix(Workload workload, std::uint64_t seed,
              const sim::DdlSimulator& sim) {
   Mix mix;
   mix.workload = workload;
-  if (workload == Workload::kNasCold) {
-    make_nas(mix, seed);
-  } else {
-    make_sched(mix, seed, sim, workload == Workload::kSchedObserve);
-  }
+  make_sched(mix, seed, sim, workload == Workload::kSchedObserve);
   for (const core::PredictRequest& req : mix.pairs) {
     mix.expected_s.push_back(sim.expected(req.workload, req.cluster).total_s);
   }

@@ -16,9 +16,9 @@
 
 namespace pddl::perfbench {
 
-enum class Workload { kSchedHot, kNasCold, kSchedObserve };
+enum class Workload { kSchedHot, kSchedObserve };
 
-// Parses a workload name ("sched_hot", "nas_cold", "sched_observe").
+// Parses a workload name ("sched_hot", "sched_observe").
 bool parse_workload(const std::string& name, Workload& out);
 const char* workload_name(Workload w);
 
@@ -47,7 +47,6 @@ struct Mix {
   std::array<Stream, 2> streams;            // one per client connection
   std::size_t frame = 0;                    // predictions per predict frame
   std::size_t observes_per_tick = 0;
-  bool cache_enabled = true;  // service embedding cache (off for nas_cold)
 };
 
 Mix make_mix(Workload workload, std::uint64_t seed,

@@ -1,6 +1,7 @@
 #include "replay.hpp"
 
 #include <fstream>
+#include <memory>
 #include <span>
 
 #include "ghn/registry.hpp"
@@ -76,10 +77,6 @@ Replay::Replay(core::PredictDdl& pddl, const Mix& mix)
                          order.begin() + static_cast<std::ptrdiff_t>(std::min(
                                              i + mix.frame, order.size())));
   }
-  if (mix.cache_enabled) {
-    // Same geometry as the service's cache (8 shards, 1024 entries).
-    cache_ = std::make_unique<serve::ShardedEmbeddingCache>(8, 1024);
-  }
   Trace off(false, Clock::now());
   run(off, false, reference_);
 }
@@ -91,7 +88,7 @@ bool Replay::pass(Trace& trace, bool bypass_cache) {
 }
 
 bool Replay::run(Trace& trace, bool bypass_cache, std::vector<double>& out) {
-  serve::ShardedEmbeddingCache* cache = bypass_cache ? nullptr : cache_.get();
+  serve::ShardedEmbeddingCache* cache = bypass_cache ? nullptr : &cache_;
   struct Item {
     graph::CompGraph graph;
     std::uint64_t fp = 0;

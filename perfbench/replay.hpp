@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -76,8 +75,8 @@ void append_spans(const std::string& path, const std::string& source,
 class Replay {
  public:
   // Uses `pddl`'s trained GHNs (f32 engines, as served) and fitted
-  // regressors.  A cache-enabled mix gets its own embedding cache sized like
-  // the service's, filled by an untimed first pass.
+  // regressors, plus an embedding cache of its own with the service's
+  // geometry (8 shards, 1024 entries), filled by an untimed first pass.
   Replay(core::PredictDdl& pddl, const Mix& mix);
 
   // The reference prediction per pair, from the untimed first pass.
@@ -98,7 +97,7 @@ class Replay {
   core::PredictDdl& pddl_;
   const Mix& mix_;
   std::vector<std::vector<std::size_t>> frames_;  // pair ids per frame
-  std::unique_ptr<serve::ShardedEmbeddingCache> cache_;
+  serve::ShardedEmbeddingCache cache_{8, 1024};
   std::vector<double> reference_;
   std::size_t graphs_embedded_ = 0;
 };

@@ -18,7 +18,7 @@ import shutil
 import subprocess
 import sys
 
-WORKLOADS = ("sched_hot", "nas_cold", "sched_observe")
+WORKLOADS = ("sched_hot", "sched_observe")
 BUILD_TIMEOUT_S = 840
 RUN_TIMEOUT_S = 170
 

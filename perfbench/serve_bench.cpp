@@ -3,7 +3,7 @@
 // workload through a loopback rpc::Server from two client connections, checks
 // every answer, and prints the metrics as one JSON object on the last line.
 //
-//   serve_bench --workload sched_hot|nas_cold|sched_observe --seed N
+//   serve_bench --workload sched_hot|sched_observe --seed N
 //               --seconds S --trace 0|1 [--spans FILE]
 //
 // --trace 0 reports the end-to-end metrics.  --trace 1 alternates untraced
@@ -12,6 +12,7 @@
 // per-layer metrics, and appends every span to FILE.  Exit code 1 means an
 // output check failed; 2 means bad arguments.  README.md gives the reasons
 // for the workloads and the metrics.
+#include <sched.h>
 #include <time.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <numeric>
@@ -40,9 +42,12 @@ namespace {
 
 // Windows the measured phase is cut into.  Host steal comes in bursts of a
 // second or two, and it stretches round trips whatever the code does, so the
-// end-to-end figures are taken from the quarter of the windows with the
-// least steal: throughput as their median, latencies over their frames.  The
-// windows are chosen by steal alone, never by the figures they yield.
+// end-to-end figures are taken from the quiet windows: every window whose
+// steal is at most the kQuietWindows-th smallest window steal.  That is at
+// least a quarter of the run, and the whole run on a host that steals
+// nothing.  Throughput is the median over the quiet windows, latencies are
+// taken over their frames.  The windows are chosen by steal alone, never by
+// the figures they yield.
 constexpr std::size_t kWindows = 20;
 constexpr std::size_t kQuietWindows = kWindows / 4;
 // Traced replay passes; per-layer times are the median over passes.
@@ -75,6 +80,68 @@ std::pair<double, double> cpu_ticks() {
     if (field == 7) steal = v;
   }
   return {steal, total};
+}
+
+// Moves every thread of the process onto one CPU, the last it may run on.
+// Threads started later inherit the mask of the thread that starts them.
+// Passes repeat until one moves no thread, which also catches threads
+// started while a pass runs.
+void pin_to_one_cpu() {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  PDDL_CHECK(sched_getaffinity(0, sizeof allowed, &allowed) == 0,
+             "sched_getaffinity failed");
+  int cpu = CPU_SETSIZE - 1;
+  while (!CPU_ISSET(cpu, &allowed)) --cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  for (bool moved = true; moved;) {
+    moved = false;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      const auto tid =
+          static_cast<pid_t>(std::stol(entry.path().filename().string()));
+      cpu_set_t mask;
+      CPU_ZERO(&mask);
+      // A thread that has exited since the listing fails both calls.
+      if (sched_getaffinity(tid, sizeof mask, &mask) != 0 ||
+          CPU_EQUAL(&mask, &one)) {
+        continue;
+      }
+      if (sched_setaffinity(tid, sizeof one, &one) == 0) moved = true;
+    }
+  }
+}
+
+// Milliseconds one pass of a fixed loop takes on the calling thread's CPU.
+// The loop shares no code with the program, so its time follows the host's
+// speed alone: a run on a slowed host shows it, with no steal to account for
+// it.
+double reference_loop_ms() {
+  std::vector<std::uint64_t> buf(std::size_t{1} << 17);  // 1 MiB
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  const Clock::time_point t0 = Clock::now();
+  for (int pass = 0; pass < 64; ++pass) {
+    for (std::uint64_t& v : buf) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      v += x;
+    }
+  }
+  const double ms = 1e3 * seconds_between(t0, Clock::now());
+  volatile std::uint64_t sink = buf[x % buf.size()];
+  (void)sink;
+  return ms;
+}
+
+// Restarts the process's VmHWM at its current RSS.
+void reset_peak_rss() {
+  std::ofstream out("/proc/self/clear_refs");
+  out << "5";
+  out.flush();
+  PDDL_CHECK(out.good(), "cannot reset VmHWM through /proc/self/clear_refs");
 }
 
 double peak_rss_mb() {
@@ -244,17 +311,20 @@ struct PhaseResult {
   std::uint64_t sum(std::uint64_t ConnResult::*field) const {
     return conns[0].*field + conns[1].*field;
   }
-  // The kQuietWindows windows with the least host steal (ties: earlier).
+  // The windows whose steal is at most the kQuietWindows-th smallest one.
   std::array<bool, kWindows> quiet_windows() const {
-    std::array<std::size_t, kWindows> order{};
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [this](std::size_t a, std::size_t b) {
-                       return window_steal[a] < window_steal[b];
-                     });
+    std::array<double, kWindows> sorted = window_steal;
+    std::sort(sorted.begin(), sorted.end());
     std::array<bool, kWindows> quiet{};
-    for (std::size_t i = 0; i < kQuietWindows; ++i) quiet[order[i]] = true;
+    for (std::size_t w = 0; w < kWindows; ++w) {
+      quiet[w] = window_steal[w] <= sorted[kQuietWindows - 1];
+    }
     return quiet;
+  }
+  std::size_t quiet_count() const {
+    const std::array<bool, kWindows> quiet = quiet_windows();
+    return static_cast<std::size_t>(
+        std::count(quiet.begin(), quiet.end(), true));
   }
   // Median throughput over the quiet windows.
   double preds_per_s(double seconds) const {
@@ -353,8 +423,6 @@ void print_result(bool correct, std::uint64_t attempted, std::uint64_t failed,
 serve::MetricsSnapshot counters_between(const serve::MetricsSnapshot& before,
                                         const serve::MetricsSnapshot& after) {
   serve::MetricsSnapshot d;
-  d.cache_hits = after.cache_hits - before.cache_hits;
-  d.cache_misses = after.cache_misses - before.cache_misses;
   d.rejected_queue_full =
       after.rejected_queue_full - before.rejected_queue_full;
   d.rejected_untrained = after.rejected_untrained - before.rejected_untrained;
@@ -373,9 +441,6 @@ serve::MetricsSnapshot counters_between(const serve::MetricsSnapshot& before,
     d.batch_size_counts[i] =
         after.batch_size_counts[i] - before.batch_size_counts[i];
   }
-  d.embed_batches = after.embed_batches - before.embed_batches;
-  d.embed_batch_graphs = after.embed_batch_graphs - before.embed_batch_graphs;
-  d.embed_coalesced = after.embed_coalesced - before.embed_coalesced;
   return d;
 }
 
@@ -449,7 +514,6 @@ int run(const Args& args) {
   cfg.cache_capacity = 1024;
   cfg.max_batch = 8;
   cfg.precision = ghn::Precision::kF32;
-  cfg.cache_enabled = mix.cache_enabled;
   serve::PredictionService service(pddl, cfg);
   const Clock::time_point w0 = Clock::now();
   service.warm_up(workload::table2_workloads());
@@ -464,6 +528,9 @@ int run(const Args& args) {
       rpc::Client("127.0.0.1", server.port()),
       rpc::Client("127.0.0.1", server.port())};
   const double standup_s = seconds_between(setup0, Clock::now());
+  // Serving runs on one CPU (README.md, "One CPU"); the stand-up keeps all
+  // of them.
+  pin_to_one_cpu();
   // The references come from the replay, which is not part of the server;
   // it stays out of setup_s.
   Replay replay(pddl, mix);
@@ -474,8 +541,16 @@ int run(const Args& args) {
                                          replay.reference(), warm, ticks,
                                          untraced);
   const double setup_s = standup_s + warm_res.wall_s;
+  // peak_rss_mb covers the measured phase, not the GHN training, the
+  // campaign and the replay's first pass.
+  reset_peak_rss();
 
   // ---- measured phase(s) ----
+  // Host speed: the reference loop just before and just after the
+  // measured phase, on the serving CPU.
+  constexpr int kRefLoops = 5;
+  std::vector<double> ref_ms;
+  for (int i = 0; i < kRefLoops; ++i) ref_ms.push_back(reference_loop_ms());
   const serve::MetricsSnapshot before = clients[0].stats();
   std::array<Trace, 2> traces = {Trace(true, origin), Trace(true, origin)};
   std::vector<PhaseResult> measured;
@@ -495,6 +570,8 @@ int run(const Args& args) {
     return v;
   };
   const serve::MetricsSnapshot after = clients[0].stats();
+  for (int i = 0; i < kRefLoops; ++i) ref_ms.push_back(reference_loop_ms());
+  const double host_ref_ms = median(ref_ms);
   const serve::MetricsSnapshot phase = counters_between(before, after);
   const double rss_mb = peak_rss_mb();
 
@@ -580,11 +657,15 @@ int run(const Args& args) {
       "serve_bench %s seed=%llu seconds=%.1f trace=%d: setup_s=%.3f "
       "frames=%zu (%zu beyond p99) frame_p50_ms=%.4f frame_p99_ms=%.4f "
       "pred_mre=%.6f host.steal_frac=%.4f proc.cpu_us_per_pred=%.2f "
-      "peak_rss_mb=%.1f",
+      "host.ref_ms=%.3f serve.dispatch_mean=%.2f peak_rss_mb=%.1f",
       workload_name(args.workload), static_cast<unsigned long long>(args.seed),
       args.seconds, args.trace ? 1 : 0, setup_s, frame_ms.size(), beyond_p99,
-      median(frame_ms), p99, mre, steal_frac, cpu_us_per_pred, rss_mb);
-  if (!args.trace) std::printf(" preds_per_s=%.1f", pps);
+      median(frame_ms), p99, mre, steal_frac, cpu_us_per_pred, host_ref_ms,
+      phase.mean_batch_size(), rss_mb);
+  if (!args.trace) {
+    std::printf(" quiet_windows=%zu/%zu preds_per_s=%.1f",
+                measured.front().quiet_count(), kWindows, pps);
+  }
   std::printf("\n");
   for (const std::string& f : failures) {
     std::printf("CHECK FAILED: %s\n", f.c_str());
@@ -674,10 +755,6 @@ int run(const Args& args) {
          "count"},
         {"serve.queue_ms_p50", median(concat(&ConnResult::queue_ms)), "ms"},
         {"serve.dispatch_mean", phase.mean_batch_size(), "count"},
-        {"serve.embed_width_mean", phase.mean_embed_batch_width(), "count"},
-        {"serve.coalesced", static_cast<double>(phase.embed_coalesced),
-         "count"},
-        {"serve.cache_hit_ratio", phase.cache_hit_rate(), "ratio"},
         {"serve.cache_get_us", layer_us("serve.cache_get"), "us"},
         {"serve.rejected",
          static_cast<double>(phase.rejected_queue_full +
@@ -702,6 +779,7 @@ int run(const Args& args) {
         {"feedback.refit_s", refit_s, "s"},
         {"proc.cpu_us_per_pred", cpu_us_per_pred, "us"},
         {"host.steal_frac", steal_frac, "ratio"},
+        {"host.ref_ms", host_ref_ms, "ms"},
         {"trace.overhead_frac", 1.0 - traced_pps / untraced_pps, "ratio"},
     };
     for (std::size_t c = 0; c < 2; ++c) {
@@ -726,7 +804,7 @@ int main(int argc, char** argv) {
   Args args;
   if (!parse_args(argc, argv, args)) {
     std::fprintf(stderr,
-                 "usage: %s --workload sched_hot|nas_cold|sched_observe "
+                 "usage: %s --workload sched_hot|sched_observe "
                  "--seed N --seconds S --trace 0|1 [--spans FILE]\n",
                  argv[0]);
     return 2;
