@@ -55,6 +55,7 @@ PredictionService::PredictionService(core::PredictDdl& engine,
     : engine_(engine),
       cfg_(cfg),
       cache_(cfg.cache_shards, cfg.cache_capacity),
+      fp_memo_(cache_.capacity()),
       reuse_index_(cfg.reuse),
       sizer_(AdaptiveBatchConfig{cfg.max_batch}),
       paused_(cfg.start_paused) {
@@ -202,7 +203,7 @@ void PredictionService::process_batch(std::vector<Pending> batch) {
   // concurrent swap_engine() cannot destroy it mid-predict.
   struct Work {
     std::size_t idx = 0;
-    graph::CompGraph graph;
+    graph::CompGraph graph;  // built only on a memo or cache miss
     std::uint64_t fp = 0;
     ghn::Ghn2* ghn = nullptr;
     // Tape-free engine (when cfg_.fast_embed); like `engine`, the shared_ptr
@@ -266,25 +267,36 @@ void PredictionService::process_batch(std::vector<Pending> batch) {
       if (cfg_.fast_embed) {
         w.fast = engine_.registry().inference(dataset, cfg_.precision);
       }
-      w.graph = p.req.workload.build_graph();
+      w.ghn_checksum = w.fast != nullptr ? w.fast->source_checksum()
+                                         : ghn::ghn_checksum(*w.ghn);
+      // The graph is needed only on a cache miss (batched embed, reuse
+      // signature), so a memoized fingerprint lets a hit skip the build.
+      // A build that throws is never memoized: the key stays absent and
+      // every repeat fails the same way.
+      bool built = false;
+      if (const auto fp = fp_memo_.get(p.req.workload)) {
+        w.fp = *fp;
+      } else {
+        w.graph = p.req.workload.build_graph();
+        built = true;
+        w.fp = ghn::structural_fingerprint(w.graph);
+        fp_memo_.put(p.req.workload, w.fp);
+      }
+      if (cfg_.cache_enabled) {
+        Stopwatch lookup;
+        if (auto hit = cache_.get(dataset, w.fp, w.ghn_checksum)) {
+          w.embedding = std::move(*hit);
+          w.embed_ms = lookup.millis();
+          w.cache_hit = true;
+        }
+      }
+      if (!w.cache_hit && !built) w.graph = p.req.workload.build_graph();
     } catch (const std::exception& e) {
       metrics_.errors.fetch_add(1, std::memory_order_relaxed);
       r.status = ServeStatus::kError;
       r.error = e.what();
       finish(p, std::move(r));
       continue;
-    }
-    w.fp = ghn::structural_fingerprint(w.graph);
-    w.ghn_checksum = w.fast != nullptr ? w.fast->source_checksum()
-                                       : ghn::ghn_checksum(*w.ghn);
-
-    if (cfg_.cache_enabled) {
-      Stopwatch lookup;
-      if (auto hit = cache_.get(dataset, w.fp, w.ghn_checksum)) {
-        w.embedding = std::move(*hit);
-        w.embed_ms = lookup.millis();
-        w.cache_hit = true;
-      }
     }
     if (!w.cache_hit && reuse_on()) {
       // Near-duplicate path: before paying a GHN forward pass, ask the
@@ -566,6 +578,7 @@ std::size_t PredictionService::warm_up(
     item.dataset = w.dataset.name;
     item.graph = w.build_graph();
     item.fp = ghn::structural_fingerprint(item.graph);
+    fp_memo_.put(w, item.fp);
     item.ghn = ghn;
     if (cfg_.fast_embed) {
       item.fast = engine_.registry().inference(item.dataset, cfg_.precision);

@@ -17,7 +17,9 @@
 //      ▼
 //   dispatcher pops ≤ max_batch requests
 //      ├─ dataset without a fitted predictor ──→ kUntrainedDataset
-//      ├─ embedding: shard-cache hit, else GHN forward on the ThreadPool
+//      ├─ fingerprint: memo hit, else build the graph and hash it
+//      ├─ embedding: shard-cache hit, else build the graph (if not yet
+//      │  built) and run the GHN forward on the ThreadPool
 //      └─ feature assembly + Inference Engine predict ──→ kOk
 //
 // The service never triggers offline training: an online path that can
@@ -49,6 +51,7 @@
 #include "reuse/reuse_index.hpp"
 #include "serve/batch_sizer.hpp"
 #include "serve/embedding_cache.hpp"
+#include "serve/fingerprint_memo.hpp"
 #include "serve/metrics.hpp"
 
 namespace pddl::serve {
@@ -204,6 +207,7 @@ class PredictionService {
   // Counter snapshot, with cache occupancy and reuse-index stats folded in.
   MetricsSnapshot metrics() const;
   const ShardedEmbeddingCache& cache() const { return cache_; }
+  const FingerprintMemo& fingerprint_memo() const { return fp_memo_; }
   const reuse::ReuseIndex& reuse_index() const { return reuse_index_; }
   const reuse::ReuseCostModel& reuse_cost_model() const { return reuse_cost_; }
   std::size_t queue_depth() const;
@@ -229,6 +233,9 @@ class PredictionService {
   core::PredictDdl& engine_;
   ServiceConfig cfg_;
   ShardedEmbeddingCache cache_;
+  // Build key → structural fingerprint, sized to cache_.capacity(): cache
+  // hits resolve their fingerprint here and never build a graph.
+  FingerprintMemo fp_memo_;
   reuse::ReuseIndex reuse_index_;
   reuse::ReuseCostModel reuse_cost_;
   ServiceMetrics metrics_;

@@ -213,13 +213,156 @@ TEST_F(ServeTest, WarmUpPopulatesCache) {
   ws.push_back({"resnet18", workload::tiny_imagenet(), 64, 10});
   EXPECT_EQ(service.warm_up(ws), 3u);
   EXPECT_EQ(service.warm_up(ws), 0u);  // idempotent
+  // Warm-up also seeds the fingerprint memo (the skipped workload is never
+  // built), so the live requests below are memo hits and add no key.
+  EXPECT_EQ(service.fingerprint_memo().size(), 3u);
   for (const char* model : {"resnet18", "vgg11", "alexnet"}) {
     const ServeResult r = service.predict(make_request(model));
     ASSERT_TRUE(r.ok()) << r.error;
     EXPECT_TRUE(r.cache_hit);
   }
+  EXPECT_EQ(service.fingerprint_memo().size(), 3u);
   EXPECT_EQ(service.metrics().cache_misses, 0u);
   EXPECT_EQ(service.metrics().cache_hits, 3u);
+}
+
+TEST_F(ServeTest, FailedGraphBuildIsNeverMemoized) {
+  PredictionService service(*pddl_);
+  core::PredictRequest unknown = make_request("no_such_model");
+  core::PredictRequest degenerate = make_request("resnet18");
+  degenerate.workload.dataset.input = {3, 0, 0};
+  for (const core::PredictRequest* req : {&unknown, &degenerate}) {
+    std::string first_error;
+    for (int i = 0; i < 3; ++i) {
+      const ServeResult r = service.predict(*req);
+      ASSERT_EQ(r.status, ServeStatus::kError);
+      ASSERT_FALSE(r.error.empty());
+      if (i == 0) first_error = r.error;
+      EXPECT_EQ(r.error, first_error);  // same failure on every repeat
+    }
+  }
+  EXPECT_EQ(service.fingerprint_memo().size(), 0u);  // neither key memoized
+  // A good request after the failures is served and memoized as usual.
+  ASSERT_TRUE(service.predict(make_request("resnet18")).ok());
+  EXPECT_EQ(service.fingerprint_memo().size(), 1u);
+
+  const MetricsSnapshot m = service.metrics();
+  EXPECT_EQ(m.errors, 6u);
+  EXPECT_EQ(m.completed, 1u);
+  EXPECT_EQ(m.submitted, m.completed + m.rejected_queue_full +
+                             m.rejected_untrained + m.deadline_expired +
+                             m.errors);
+}
+
+TEST_F(ServeTest, MemoHitAfterGhnSwapBuildsGraphForTheMiss) {
+  // swap_ghn purges the embedding cache but not the fingerprint memo, so
+  // every request after it is a memo hit that misses the cache and must
+  // build its graph for the embed and the reuse signature.  The swapped-in
+  // GHN is a clone of the live one, so a fresh service is the reference.
+  ServiceConfig cfg;
+  cfg.reuse.enabled = true;
+  cfg.reuse.use_cost_model = false;  // deterministic probes
+  const std::vector<std::string> models = {"vgg11", "resnet18", "alexnet",
+                                           "vgg13"};
+  PredictionService service(*pddl_, cfg);
+  for (const std::string& m : models) {
+    ASSERT_TRUE(service.predict(make_request(m)).ok());
+  }
+  service.swap_ghn("cifar10", pddl_->registry().clone_model("cifar10"),
+                   nullptr);
+  EXPECT_EQ(service.cache().size(), 0u);
+  EXPECT_EQ(service.fingerprint_memo().size(), models.size());
+
+  PredictionService fresh(*pddl_, cfg);
+  bool any_reused = false;
+  for (const std::string& m : models) {
+    const ServeResult r = service.predict(make_request(m));
+    const ServeResult ref = fresh.predict(make_request(m));
+    ASSERT_TRUE(r.ok()) << r.error;
+    ASSERT_TRUE(ref.ok()) << ref.error;
+    EXPECT_FALSE(r.cache_hit);
+    EXPECT_EQ(r.response.predicted_time_s, ref.response.predicted_time_s);
+    // Donors inserted on the lazy path carry the graph's real signature:
+    // a wrong one would change which neighbour is found, and how far.
+    EXPECT_EQ(r.confidence, ref.confidence);
+    EXPECT_EQ(r.reuse_distance, ref.reuse_distance);
+    any_reused = any_reused || r.confidence == Confidence::kReused;
+  }
+  EXPECT_TRUE(any_reused);  // vgg13 reuses the vgg11 donor
+  const MetricsSnapshot m = service.metrics();
+  EXPECT_EQ(m.errors, 0u);
+  EXPECT_EQ(m.completed, m.cache_hits + m.cache_misses + m.reuse_hits);
+  EXPECT_EQ(m.reuse_entries, fresh.metrics().reuse_entries);
+}
+
+TEST_F(ServeTest, MemoHitAfterCacheEvictionBuildsGraphForTheMiss) {
+  // cache_capacity = 2 over 8 shards leaves one entry per shard (capacity
+  // 8), so models whose keys share a shard evict each other while the
+  // memo, a single LRU of the same capacity, keeps all 8 keys.  Which keys
+  // collide depends on the shard hash; the test asserts that some do.
+  ServiceConfig cfg;
+  cfg.cache_shards = 8;
+  cfg.cache_capacity = 2;
+  const std::vector<std::string> models = {
+      "alexnet",       "resnet18",      "resnet34", "vgg11",
+      "vgg13",         "squeezenet1_0", "squeezenet1_1",
+      "mobilenet_v3_small"};
+  PredictionService service(*pddl_, cfg);
+  ASSERT_EQ(service.fingerprint_memo().capacity(), service.cache().capacity());
+  ASSERT_EQ(service.fingerprint_memo().capacity(), models.size());
+  for (const std::string& m : models) {
+    ASSERT_TRUE(service.predict(make_request(m)).ok());
+  }
+  ASSERT_EQ(service.fingerprint_memo().size(), models.size());
+  ASSERT_GT(service.metrics().cache_evictions, 0u);
+
+  PredictionService fresh(*pddl_);
+  std::size_t lazy_builds = 0;
+  for (const std::string& m : models) {
+    const ServeResult r = service.predict(make_request(m));
+    ASSERT_TRUE(r.ok()) << r.error;
+    if (!r.cache_hit) ++lazy_builds;  // memo hit, evicted embedding
+    EXPECT_EQ(r.response.predicted_time_s,
+              fresh.predict(make_request(m)).response.predicted_time_s);
+  }
+  EXPECT_GT(lazy_builds, 0u);
+  const MetricsSnapshot m = service.metrics();
+  EXPECT_EQ(m.errors, 0u);
+  EXPECT_EQ(m.completed, 2 * models.size());
+  EXPECT_EQ(m.completed, m.cache_hits + m.cache_misses + m.reuse_hits);
+}
+
+TEST_F(ServeTest, FingerprintMemoStaysWithinCacheCapacity) {
+  ServiceConfig cfg;
+  cfg.cache_shards = 1;
+  cfg.cache_capacity = 2;
+  PredictionService service(*pddl_, cfg);
+  PredictionService fresh(*pddl_);
+  ASSERT_EQ(service.fingerprint_memo().capacity(), 2u);
+  std::size_t sent = 0;
+  for (const char* model : {"alexnet", "resnet18", "vgg11"}) {
+    // Each of c, h and w varies alone, so the key must carry all three.
+    for (const graph::TensorShape input :
+         {graph::TensorShape{3, 32, 32}, graph::TensorShape{1, 32, 32},
+          graph::TensorShape{3, 64, 32}, graph::TensorShape{3, 32, 64}}) {
+      for (int classes : {10, 100}) {
+        core::PredictRequest req = make_request(model);
+        req.workload.dataset.input = input;
+        req.workload.dataset.num_classes = classes;
+        const double want = fresh.predict(req).response.predicted_time_s;
+        for (int rep = 0; rep < 2; ++rep) {  // the repeat is a memo hit
+          const ServeResult r = service.predict(req);
+          ASSERT_TRUE(r.ok()) << r.error;
+          EXPECT_EQ(r.response.predicted_time_s, want);
+          EXPECT_LE(service.fingerprint_memo().size(), 2u);
+        }
+        ++sent;
+      }
+    }
+  }
+  EXPECT_GT(sent, service.fingerprint_memo().capacity());
+  EXPECT_EQ(service.fingerprint_memo().size(), 2u);
+  EXPECT_EQ(fresh.fingerprint_memo().size(), sent);
 }
 
 TEST_F(ServeTest, UntrainedDatasetIsRejectedNotTrained) {
