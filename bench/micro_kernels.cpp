@@ -15,8 +15,10 @@
 #include "ghn/ghn2.hpp"
 #include "ghn/infer.hpp"
 #include "graph/models.hpp"
+#include "io/binary.hpp"
 #include "regress/linear.hpp"
 #include "regress/log_target.hpp"
+#include "rpc/wire.hpp"
 #include "simulator/ddl_simulator.hpp"
 #include "tensor/linalg.hpp"
 #include "tensor/nnls.hpp"
@@ -203,6 +205,54 @@ void BM_PolyFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PolyFit)->Arg(500)->Arg(2000);
+
+// CRC-32 over an in-memory buffer: every rpc frame and snapshot pays one
+// pass per side.
+void BM_Crc32(benchmark::State& state) {
+  std::string bytes(static_cast<std::size_t>(state.range(0)), '\0');
+  Rng rng(8);
+  for (char& c : bytes) c = static_cast<char>(rng.uniform_int(0, 255));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        io::crc32_update(0xffffffffu, bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32)->Arg(1 << 10)->Arg(64 << 10);
+
+// The rpc codec on a scheduler-sized frame: encode then decode one
+// 24-request predict_batch frame (clusters of 4/8/16 servers), reported per
+// prediction.
+void BM_WirePredictBatch(benchmark::State& state) {
+  const char* models[] = {"resnet18", "vgg11", "mobilenet_v3_small",
+                          "densenet121"};
+  const int servers[] = {4, 8, 16};
+  rpc::Request req;
+  req.op = rpc::Op::kPredictBatch;
+  req.deadline_ms = 250.0;
+  for (int i = 0; i < 24; ++i) {
+    core::PredictRequest r;
+    r.workload = {models[i % 4], workload::cifar10(), 64, 10};
+    r.cluster = cluster::make_uniform_cluster("p100", servers[i % 3]);
+    req.reqs.push_back(std::move(r));
+  }
+  std::size_t frame_bytes = 0;
+  for (auto _ : state) {
+    const std::string frame = rpc::encode_frame(rpc::encode_request(req));
+    frame_bytes = frame.size();
+    benchmark::DoNotOptimize(rpc::decode_request(rpc::decode_frame(frame)));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(req.reqs.size()));
+  // Seconds per prediction (the inverse of items_per_second).
+  state.counters["s_per_pred"] = benchmark::Counter(
+      static_cast<double>(req.reqs.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+  state.counters["frame_bytes"] = static_cast<double>(frame_bytes);
+}
+BENCHMARK(BM_WirePredictBatch);
 
 // --pddl-csv: regenerate the committed micro_embed CSV series directly
 // (bench_common harness, not google-benchmark): per model one row of

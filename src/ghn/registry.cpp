@@ -1,7 +1,5 @@
 #include "ghn/registry.hpp"
 
-#include <sstream>
-
 #include "io/binary.hpp"
 #include "parallel/parallel_for.hpp"
 
@@ -148,12 +146,12 @@ std::unique_ptr<Ghn2> GhnRegistry::clone_model(
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(dataset);
   if (it == entries_.end()) return nullptr;
-  std::stringstream buf;
+  std::string buf;
   {
     io::BinaryWriter w(buf);
     save_ghn(w, *it->second.ghn);
   }
-  io::BinaryReader r(buf.str());
+  io::BinaryReader r(buf.data(), buf.size(), "ghn clone");
   return load_ghn(r);
 }
 

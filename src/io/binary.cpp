@@ -8,21 +8,35 @@ namespace pddl::io {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 tables: kCrcTables[0] is the classic byte-at-a-time table;
+// kCrcTables[k][b] is the CRC of byte b followed by k zero bytes, so eight
+// lookups advance the CRC over eight input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+  }
+  return t;
 }
 
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  return table;
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+std::uint32_t load_le32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
@@ -30,9 +44,16 @@ const std::array<std::uint32_t, 256>& crc_table() {
 std::uint32_t crc32_update(std::uint32_t crc, const void* data,
                            std::size_t size) {
   const auto* p = static_cast<const unsigned char*>(data);
-  const auto& table = crc_table();
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ p[i]) & 0xffu] ^ (crc >> 8);
+  const CrcTables& t = kCrcTables;
+  for (; size >= 8; p += 8, size -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ crc;
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+          t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+          t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    crc = t[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
   }
   return crc;
 }
@@ -40,10 +61,15 @@ std::uint32_t crc32_update(std::uint32_t crc, const void* data,
 // ---- BinaryWriter ----
 
 void BinaryWriter::raw(const void* data, std::size_t size) {
-  os_.write(static_cast<const char*>(data),
-            static_cast<std::streamsize>(size));
-  PDDL_CHECK(os_.good(), "binary write failed after ", bytes_, " bytes");
-  crc_ = crc32_update(crc_, data, size);
+  if (buf_ != nullptr) {
+    buf_->append(static_cast<const char*>(data), size);
+  } else {
+    os_->write(static_cast<const char*>(data),
+               static_cast<std::streamsize>(size));
+    PDDL_CHECK(os_->good(), "binary write failed after ", bytes_, " bytes");
+    crc_ = crc32_update(crc_, data, size);
+    crc_bytes_ += size;
+  }
   bytes_ += size;
 }
 
@@ -78,15 +104,29 @@ void BinaryWriter::str(const std::string& s) {
 
 void BinaryWriter::magic(const char m[4]) { raw(m, 4); }
 
+std::uint32_t BinaryWriter::crc() const {
+  if (crc_bytes_ < bytes_) {  // buffer mode: fold in the unhashed tail
+    crc_ = crc32_update(crc_, buf_->data() + start_ + crc_bytes_,
+                        bytes_ - crc_bytes_);
+    crc_bytes_ = bytes_;
+  }
+  return crc_ ^ 0xffffffffu;
+}
+
 void BinaryWriter::finish_crc() {
   const std::uint32_t trailer = crc();
   unsigned char b[4];
   for (int i = 0; i < 4; ++i) {
     b[i] = static_cast<unsigned char>(trailer >> (8 * i));
   }
-  os_.write(reinterpret_cast<const char*>(b), 4);
-  PDDL_CHECK(os_.good(), "binary write failed writing CRC trailer");
+  if (buf_ != nullptr) {
+    buf_->append(reinterpret_cast<const char*>(b), 4);
+  } else {
+    os_->write(reinterpret_cast<const char*>(b), 4);
+    PDDL_CHECK(os_->good(), "binary write failed writing CRC trailer");
+  }
   bytes_ += 4;
+  crc_bytes_ = bytes_;  // the trailer is not part of any later CRC
 }
 
 // ---- BinaryReader ----
@@ -95,18 +135,36 @@ BinaryReader::BinaryReader(std::istream& is, std::string what)
     : is_(&is), what_(std::move(what)) {}
 
 BinaryReader::BinaryReader(std::string bytes, std::string what)
-    : owned_(std::make_unique<std::istringstream>(
-          std::move(bytes), std::ios::binary)),
-      is_(owned_.get()),
+    : owned_(std::make_unique<std::string>(std::move(bytes))),
+      data_(owned_->data()),
+      size_(owned_->size()),
       what_(std::move(what)) {}
 
-void BinaryReader::raw(void* dst, std::size_t size) {
-  is_->read(static_cast<char*>(dst), static_cast<std::streamsize>(size));
-  PDDL_CHECK(is_->good() || (is_->eof() &&
-                             static_cast<std::size_t>(is_->gcount()) == size),
-             what_, " truncated at byte ", bytes_);
-  crc_ = crc32_update(crc_, dst, size);
+BinaryReader::BinaryReader(const char* data, std::size_t size,
+                           std::string what)
+    : data_(data), size_(size), what_(std::move(what)) {}
+
+bool BinaryReader::take(void* dst, std::size_t size) {
+  if (is_ != nullptr) {
+    is_->read(static_cast<char*>(dst), static_cast<std::streamsize>(size));
+    if (!is_->good() &&
+        !(is_->eof() && static_cast<std::size_t>(is_->gcount()) == size)) {
+      return false;
+    }
+  } else {
+    if (size > size_ - bytes_) return false;
+    if (size > 0) std::memcpy(dst, data_ + bytes_, size);
+  }
   bytes_ += size;
+  return true;
+}
+
+void BinaryReader::raw(void* dst, std::size_t size) {
+  PDDL_CHECK(take(dst, size), what_, " truncated at byte ", bytes_);
+  if (is_ != nullptr) {
+    crc_ = crc32_update(crc_, dst, size);
+    crc_bytes_ = bytes_;
+  }
 }
 
 std::uint8_t BinaryReader::u8() {
@@ -118,17 +176,14 @@ std::uint8_t BinaryReader::u8() {
 std::uint32_t BinaryReader::u32() {
   unsigned char b[4];
   raw(b, 4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-  return v;
+  return load_le32(b);
 }
 
 std::uint64_t BinaryReader::u64() {
   unsigned char b[8];
   raw(b, 8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-  return v;
+  return static_cast<std::uint64_t>(load_le32(b)) |
+         static_cast<std::uint64_t>(load_le32(b + 4)) << 32;
 }
 
 std::int32_t BinaryReader::i32() { return static_cast<std::int32_t>(u32()); }
@@ -153,22 +208,26 @@ void BinaryReader::expect_magic(const char expected[4],
              " file (bad magic)");
 }
 
+std::uint32_t BinaryReader::crc() const {
+  if (crc_bytes_ < bytes_) {  // buffer mode: fold in the unhashed tail
+    crc_ = crc32_update(crc_, data_ + crc_bytes_, bytes_ - crc_bytes_);
+    crc_bytes_ = bytes_;
+  }
+  return crc_ ^ 0xffffffffu;
+}
+
 void BinaryReader::verify_crc() {
   const std::uint32_t expected = crc();
   unsigned char b[4];
-  is_->read(reinterpret_cast<char*>(b), 4);
-  PDDL_CHECK(is_->good() || (is_->eof() && is_->gcount() == 4), what_,
-             " truncated (missing CRC trailer)");
-  bytes_ += 4;
-  std::uint32_t stored = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-  }
+  PDDL_CHECK(take(b, 4), what_, " truncated (missing CRC trailer)");
+  crc_bytes_ = bytes_;  // the trailer is not part of any later CRC
+  const std::uint32_t stored = load_le32(b);
   PDDL_CHECK(stored == expected, what_, " corrupted: CRC mismatch (stored ",
              stored, ", computed ", expected, ")");
 }
 
 bool BinaryReader::at_end() {
+  if (is_ == nullptr) return bytes_ == size_;
   return is_->peek() == std::istream::traits_type::eof();
 }
 

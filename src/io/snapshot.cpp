@@ -11,7 +11,7 @@ BinaryWriter& SnapshotWriter::add(const std::string& name) {
   }
   Section s;
   s.name = name;
-  s.buffer = std::make_unique<std::ostringstream>(std::ios::binary);
+  s.buffer = std::make_unique<std::string>();
   s.writer = std::make_unique<BinaryWriter>(*s.buffer);
   sections_.push_back(std::move(s));
   return *sections_.back().writer;
@@ -23,7 +23,7 @@ void SnapshotWriter::save(std::ostream& os) const {
   w.u32(kSnapshotVersion);
   w.u32(static_cast<std::uint32_t>(sections_.size()));
   for (const Section& s : sections_) {
-    const std::string payload = s.buffer->str();
+    const std::string& payload = *s.buffer;
     w.str(s.name);
     w.u64(payload.size());
     if (!payload.empty()) w.raw(payload.data(), payload.size());

@@ -17,6 +17,7 @@
 // surface as clean pddl::Error, never as garbage state.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -46,7 +47,8 @@ class SnapshotWriter {
  private:
   struct Section {
     std::string name;
-    std::unique_ptr<std::ostringstream> buffer;
+    // Heap-held so the writer's buffer pointer survives sections_ growing.
+    std::unique_ptr<std::string> buffer;
     std::unique_ptr<BinaryWriter> writer;
   };
   std::vector<Section> sections_;

@@ -38,6 +38,10 @@ Response Client::call(const Request& req) {
                 to_string(resp.status) +
                 (resp.message.empty() ? "" : " — " + resp.message));
   }
+  // A response for another op decodes cleanly but leaves every field this
+  // op reads at its default, so a mismatched echo must fail loudly.
+  PDDL_CHECK(resp.op == req.op, "rpc ", to_string(req.op),
+             " got a response for op ", to_string(resp.op));
   return resp;
 }
 

@@ -122,7 +122,7 @@ bool Server::send_response(const Socket& sock, const Response& resp) {
   }
 }
 
-Response Server::execute(const Request& req) {
+Response Server::execute(Request& req) {
   Response resp;
   resp.op = req.op;
   switch (req.op) {
@@ -132,8 +132,8 @@ Response Server::execute(const Request& req) {
     case Op::kPredictBatch: {
       std::vector<std::future<serve::ServeResult>> futs;
       futs.reserve(req.reqs.size());
-      for (const core::PredictRequest& r : req.reqs) {
-        futs.push_back(service_.submit(r, req.deadline_ms));
+      for (core::PredictRequest& r : req.reqs) {
+        futs.push_back(service_.submit(std::move(r), req.deadline_ms));
       }
       resp.results.reserve(futs.size());
       std::size_t shed = 0;

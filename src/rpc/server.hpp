@@ -105,8 +105,9 @@ class Server {
 
   void accept_loop();
   void handle_connection(Conn* conn);
-  // Decodes and executes one already-validated request body.
-  Response execute(const Request& req);
+  // Executes one decoded request.  Its PredictRequests are moved into the
+  // service, so `req` is consumed.
+  Response execute(Request& req);
   bool send_response(const Socket& sock, const Response& resp);
   void reap_finished_locked();
 

@@ -1,7 +1,5 @@
 #include "rpc/wire.hpp"
 
-#include <sstream>
-
 namespace pddl::rpc {
 
 const char* to_string(Op op) {
@@ -52,18 +50,19 @@ std::string encode_frame(const std::string& body) {
   PDDL_CHECK(body.size() + kFrameOverheadBytes <= kMaxFrameBytes,
              "rpc frame body of ", body.size(), " bytes exceeds the ",
              kMaxFrameBytes, "-byte frame bound");
-  std::ostringstream os;
-  io::BinaryWriter w(os);
+  std::string frame;
+  frame.reserve(body.size() + kFrameOverheadBytes);
+  io::BinaryWriter w(frame);
   w.magic(kFrameMagic);
   w.u32(kProtocolVersion);
   w.u32(static_cast<std::uint32_t>(body.size()));
   w.raw(body.data(), body.size());
   w.finish_crc();
-  return os.str();
+  return frame;
 }
 
 std::uint32_t decode_frame_prefix(const char* prefix, std::size_t max_frame) {
-  io::BinaryReader r(std::string(prefix, kFramePrefixBytes), "rpc frame");
+  io::BinaryReader r(prefix, kFramePrefixBytes, "rpc frame");
   r.expect_magic(kFrameMagic, "rpc frame");
   const std::uint32_t version = r.u32();
   PDDL_CHECK(version == kProtocolVersion,
@@ -86,7 +85,7 @@ std::string decode_frame(const std::string& frame, std::size_t max_frame) {
   PDDL_CHECK(frame.size() == body_len + kFrameOverheadBytes,
              "rpc frame framing mismatch: envelope announces ", body_len,
              " body bytes but ", frame.size(), " total bytes were supplied");
-  io::BinaryReader r(frame, "rpc frame");
+  io::BinaryReader r(frame.data(), frame.size(), "rpc frame");
   r.expect_magic(kFrameMagic, "rpc frame");
   (void)r.u32();  // version, validated above
   (void)r.u32();  // body length, validated above
@@ -518,8 +517,8 @@ std::string encode_request(const Request& req) {
   PDDL_CHECK(req.reqs.size() <= kMaxBatchRequests,
              "rpc batch of ", req.reqs.size(), " requests exceeds the ",
              kMaxBatchRequests, "-request bound");
-  std::ostringstream os;
-  io::BinaryWriter w(os);
+  std::string body;
+  io::BinaryWriter w(body);
   w.u8(static_cast<std::uint8_t>(req.op));
   switch (req.op) {
     case Op::kPredict:
@@ -551,11 +550,11 @@ std::string encode_request(const Request& req) {
     case Op::kRetrainStatus:
       break;
   }
-  return os.str();
+  return body;
 }
 
 Request decode_request(const std::string& body) {
-  io::BinaryReader r(body, "rpc request");
+  io::BinaryReader r(body.data(), body.size(), "rpc request");
   Request req;
   req.op = read_op(r);
   switch (req.op) {
@@ -598,8 +597,8 @@ Request decode_request(const std::string& body) {
 }
 
 std::string encode_response(const Response& resp) {
-  std::ostringstream os;
-  io::BinaryWriter w(os);
+  std::string body;
+  io::BinaryWriter w(body);
   w.u8(static_cast<std::uint8_t>(resp.op));
   w.u8(static_cast<std::uint8_t>(resp.status));
   w.str(resp.message);
@@ -635,11 +634,11 @@ std::string encode_response(const Response& resp) {
     case Op::kShutdown:
       break;
   }
-  return os.str();
+  return body;
 }
 
 Response decode_response(const std::string& body) {
-  io::BinaryReader r(body, "rpc response");
+  io::BinaryReader r(body.data(), body.size(), "rpc response");
   Response resp;
   resp.op = read_op(r);
   const std::uint8_t status = r.u8();

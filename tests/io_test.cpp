@@ -4,8 +4,10 @@
 // and version skew all surface as clean pddl::Error, never as garbage state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "io/binary.hpp"
@@ -77,6 +79,89 @@ TEST(Binary, CrcMatchesKnownVector) {
   const char* s = "123456789";
   const std::uint32_t crc = crc32_update(0xffffffffu, s, 9) ^ 0xffffffffu;
   EXPECT_EQ(crc, 0xcbf43926u);
+}
+
+// Bit-at-a-time CRC-32 straight from the polynomial: the reference the
+// table-driven crc32_update must match on every input.
+std::uint32_t bitwise_crc32(const unsigned char* p, std::size_t n) {
+  std::uint32_t crc = 0xffffffffu;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xffffffffu;
+}
+
+TEST(Binary, CrcMatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  Rng rng(7);
+  std::vector<unsigned char> bytes(300 + 8);
+  for (unsigned char& b : bytes) {
+    b = static_cast<unsigned char>(rng.uniform_int(0, 255));
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const unsigned char* p = bytes.data() + offset;
+      EXPECT_EQ(crc32_update(0xffffffffu, p, len) ^ 0xffffffffu,
+                bitwise_crc32(p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Binary, CrcSplitAcrossUpdatesEqualsOneShot) {
+  Rng rng(11);
+  std::vector<unsigned char> bytes(1000);
+  for (unsigned char& b : bytes) {
+    b = static_cast<unsigned char>(rng.uniform_int(0, 255));
+  }
+  const std::uint32_t one_shot =
+      crc32_update(0xffffffffu, bytes.data(), bytes.size());
+  for (std::size_t chunk : {1u, 3u, 7u, 8u, 9u, 64u, 333u}) {
+    std::uint32_t crc = 0xffffffffu;
+    for (std::size_t at = 0; at < bytes.size(); at += chunk) {
+      crc = crc32_update(crc, bytes.data() + at,
+                         std::min(chunk, bytes.size() - at));
+    }
+    EXPECT_EQ(crc, one_shot) << "chunk " << chunk;
+  }
+}
+
+TEST(Binary, BufferModeMatchesStreamMode) {
+  auto write_all = [](BinaryWriter& w) {
+    w.magic("PDXX");
+    w.u32(0xdeadbeefu);
+    w.str("in-memory and streamed bytes must agree");
+    w.f64(-2.5);
+    w.finish_crc();
+    w.u64(42);
+  };
+  std::stringstream ss;
+  BinaryWriter sw(ss);
+  write_all(sw);
+  std::string buf = "prefix";  // the writer appends after existing bytes
+  BinaryWriter bw(buf);
+  write_all(bw);
+  ASSERT_EQ(buf.substr(6), ss.str());
+  EXPECT_EQ(bw.bytes_written(), sw.bytes_written());
+  EXPECT_EQ(bw.crc(), sw.crc());
+
+  const std::string bytes = ss.str();
+  BinaryReader r(bytes.data(), bytes.size(), "borrowed");
+  BinaryReader s(ss, "stream");
+  for (BinaryReader* x : {&r, &s}) {
+    x->expect_magic("PDXX", "test");
+    EXPECT_EQ(x->u32(), 0xdeadbeefu);
+    EXPECT_EQ(x->str(), "in-memory and streamed bytes must agree");
+    EXPECT_EQ(x->f64(), -2.5);
+    EXPECT_NO_THROW(x->verify_crc());
+    EXPECT_EQ(x->u64(), 42u);
+    EXPECT_TRUE(x->at_end());
+  }
+  EXPECT_EQ(r.crc(), s.crc());
+  EXPECT_EQ(r.bytes_read(), s.bytes_read());
+  EXPECT_THROW((void)r.u8(), Error);
 }
 
 TEST(Binary, CrcTrailerRoundTrips) {
@@ -330,6 +415,25 @@ TEST(Snapshot, SectionsRoundTripInOrder) {
   ASSERT_EQ(v.size(), 2u);
   EXPECT_EQ(v[0], 1.5);
   EXPECT_EQ(v[1], -2.5);
+}
+
+TEST(Snapshot, ShortSectionReadsThroughMovedReader) {
+  // Payloads under 16 bytes fit in a std::string's inline buffer, whose
+  // bytes move with the string; the reader returned by value must keep
+  // pointing at live bytes however often it is moved.
+  SnapshotWriter snap;
+  snap.add("short").u64(0x0123456789abcdefull);
+  std::stringstream ss;
+  snap.save(ss);
+  SnapshotReader loaded(ss, "test");
+
+  std::vector<BinaryReader> readers;
+  readers.push_back(loaded.reader("short"));
+  readers.reserve(16);  // reallocates: every reader is moved
+  BinaryReader r = std::move(readers.front());
+  EXPECT_EQ(r.u64(), 0x0123456789abcdefull);
+  EXPECT_TRUE(r.at_end());
+  EXPECT_THROW((void)r.u8(), Error);
 }
 
 TEST(Snapshot, EmptySnapshotIsValid) {

@@ -421,6 +421,71 @@ TEST(Wire, ErrorResponseRoundTrips) {
   EXPECT_TRUE(back.results.empty());
 }
 
+// ---- wire format: golden bytes ----
+
+// FNV-1a (64-bit) over the whole frame: one number that changes if any byte
+// of the encoding does.
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::uint32_t crc_trailer(const std::string& frame) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<std::uint32_t>(
+             static_cast<unsigned char>(frame[frame.size() - 4 + i]))
+         << (8 * i);
+  }
+  return v;
+}
+
+// The expected lengths, CRC trailers and hashes were recorded from the
+// protocol-v8 encoder before the codec moved onto in-memory buffers.  Any
+// change to them is a wire-format change and needs a kProtocolVersion bump.
+TEST(Wire, GoldenPredictBatchFramesAreByteStable) {
+  Request req;
+  req.op = Op::kPredictBatch;
+  req.deadline_ms = 250.0;
+  req.reqs = {make_request("resnet18", 4), make_request("vgg11", 8, "e5_2630"),
+              make_request("mobilenet_v3_small", 16)};
+  const std::string req_frame = encode_frame(encode_request(req));
+  EXPECT_EQ(req_frame.size(), 2853u);
+  EXPECT_EQ(crc_trailer(req_frame), 0xebe02e96u);
+  EXPECT_EQ(fnv1a64(req_frame), 0xeeb83b1874b5c904ull);
+  EXPECT_EQ(encode_frame(encode_request(decode_request(decode_frame(
+                req_frame)))),
+            req_frame);
+
+  Response resp;
+  resp.op = Op::kPredictBatch;
+  for (int i = 0; i < 3; ++i) {
+    serve::ServeResult r;
+    r.status = serve::ServeStatus::kOk;
+    r.response.predicted_time_s = 100.25 * (i + 1);
+    r.response.embedding_ms = 0.5 * i;
+    r.response.inference_ms = 0.0625;
+    r.cache_hit = i != 1;
+    r.confidence = serve::Confidence::kExact;
+    r.queue_ms = 0.125 * i;
+    r.total_ms = 1.5 + i;
+    resp.results.push_back(r);
+  }
+  resp.results[1].status = serve::ServeStatus::kDeadlineExceeded;
+  resp.results[1].error = "deadline expired in queue";
+  const std::string resp_frame = encode_frame(encode_response(resp));
+  EXPECT_EQ(resp_frame.size(), 219u);
+  EXPECT_EQ(crc_trailer(resp_frame), 0xcaa1432au);
+  EXPECT_EQ(fnv1a64(resp_frame), 0xd82dbc17a4eb5520ull);
+  EXPECT_EQ(encode_frame(encode_response(decode_response(decode_frame(
+                resp_frame)))),
+            resp_frame);
+}
+
 // ---- wire format: adversarial ----
 
 std::string valid_frame_bytes() {
@@ -800,6 +865,38 @@ TEST_F(RpcLoopbackTest, GarbageBytesGetTypedErrorNeverACrash) {
   // And after all that abuse, a well-behaved client still gets service.
   Client client("127.0.0.1", server.port());
   EXPECT_TRUE(client.predict(make_request("resnet18")).ok());
+}
+
+TEST(RpcClient, MismatchedOpEchoIsATypedError) {
+  // A fake peer answers every request with a well-formed, CRC-valid ok
+  // response for a different op.  Decoding succeeds, so only the op-echo
+  // check stands between the caller and an all-default stats snapshot.
+  std::uint16_t port = 0;
+  Socket listener = listen_tcp("127.0.0.1", 0, 1, &port);
+  std::thread peer([&listener] {
+    Socket conn = accept_with_timeout(listener, 5000.0);
+    ASSERT_TRUE(conn.valid());
+    set_recv_timeout(conn, 5000.0);
+    char prefix[kFramePrefixBytes];
+    ASSERT_EQ(recv_exact(conn, prefix, sizeof(prefix)), RecvOutcome::kOk);
+    std::string rest(decode_frame_prefix(prefix) + 4, '\0');
+    ASSERT_EQ(recv_exact(conn, rest.data(), rest.size()), RecvOutcome::kOk);
+    Response wrong;
+    wrong.op = Op::kPing;
+    const std::string frame = encode_frame(encode_response(wrong));
+    send_all(conn, frame.data(), frame.size());
+  });
+
+  Client client("127.0.0.1", port);
+  try {
+    (void)client.stats();
+    ADD_FAILURE() << "expected the mismatched op echo to throw";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("stats"), std::string::npos) << what;
+    EXPECT_NE(what.find("ping"), std::string::npos) << what;
+  }
+  peer.join();
 }
 
 TEST_F(RpcLoopbackTest, StalledClientIsReapedByReadTimeout) {
