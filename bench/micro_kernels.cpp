@@ -18,6 +18,7 @@
 #include "io/binary.hpp"
 #include "regress/linear.hpp"
 #include "regress/log_target.hpp"
+#include "reuse/reuse_index.hpp"
 #include "rpc/wire.hpp"
 #include "simulator/ddl_simulator.hpp"
 #include "tensor/linalg.hpp"
@@ -117,6 +118,35 @@ void BM_Embed_Fast(benchmark::State& state) {
   state.SetLabel(g.name() + " (" + std::to_string(g.num_nodes()) + " nodes)");
 }
 BENCHMARK(BM_Embed_Fast)->DenseRange(0, kNumEmbedModels - 1);
+
+// One reuse-index probe against a full dataset partition (the default
+// ReuseConfig::max_entries = 4096), to read next to BM_Embed_Fast: the
+// ReuseCostModel lets a cache miss probe only while a probe is at least
+// min_advantage (4x) cheaper than a fresh embed, so these two lines are the
+// measured case for keeping it.  Donors are jittered copies of the query's
+// own signature, so every entry passes the prefilter and is scored.
+void BM_ReuseProbe(benchmark::State& state) {
+  reuse::ReuseConfig cfg;
+  cfg.enabled = true;
+  reuse::ReuseIndex index(cfg);
+  const auto g = graph::build_model("squeezenet1_1", {3, 32, 32}, 10);
+  const reuse::StructuralSignature sig = reuse::make_signature(g);
+  const Vector embedding(ghn::GhnConfig{}.hidden_dim, 0.5);
+  Rng rng(5);
+  for (std::size_t i = 0; i < cfg.max_entries; ++i) {
+    reuse::StructuralSignature donor = sig;
+    donor.nodes += static_cast<std::uint32_t>(rng.uniform_int(8));
+    donor.op_counts[rng.uniform_int(graph::kNumOpTypes)] +=
+        static_cast<std::uint32_t>(rng.uniform_int(4));
+    index.insert("cifar10", /*ghn_checksum=*/1, /*fp=*/i + 1, donor,
+                 embedding);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(index.probe("cifar10", 1, /*fp=*/0, sig));
+  }
+  state.SetLabel(std::to_string(index.size()) + " entries");
+}
+BENCHMARK(BM_ReuseProbe);
 
 // Ablation: the same tape-free engine at f64 — the ≤1e-9 tape-parity
 // oracle.  The gap to BM_Embed_Fast is the price of exactness: double the

@@ -41,10 +41,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 #include "graph/models.hpp"
 #include "graph/models_transformer.hpp"
 #include "rpc/client.hpp"
+#include "rpc/socket.hpp"
 
 using namespace pddl;
 
@@ -136,10 +138,16 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string host = endpoint.substr(0, colon);
-  const int port = std::atoi(endpoint.c_str() + colon + 1);
+  std::uint16_t port = 0;
+  if (!rpc::parse_port(std::string_view(endpoint).substr(colon + 1), 1,
+                       &port)) {
+    std::fprintf(stderr, "--connect expects HOST:PORT with PORT 1-65535; "
+                 "got %s\n", endpoint.c_str());
+    return 2;
+  }
 
   try {
-    rpc::Client client(host, static_cast<std::uint16_t>(port));
+    rpc::Client client(host, port);
     // Token-stream models live on wikitext103; let an explicit --dataset
     // override (mirrors the --predict-family default).
     if (!dataset_given && !model.empty()) {

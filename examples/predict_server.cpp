@@ -69,6 +69,7 @@
 
 #include "retrain/trainer_job.hpp"
 #include "rpc/server.hpp"
+#include "rpc/socket.hpp"
 #include "tensor/simd.hpp"
 
 using namespace pddl;
@@ -80,7 +81,7 @@ void on_signal(int) { g_interrupted = 1; }
 
 int main(int argc, char** argv) {
   std::string host = "127.0.0.1";
-  int port = 7077;
+  std::uint16_t port = 7077;
   std::string state_dir;
   std::string save_state_dir;
   bool fast = false;
@@ -95,7 +96,10 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--port" && i + 1 < argc) {
-      port = std::atoi(argv[++i]);
+      if (!rpc::parse_port(argv[++i], 0, &port)) {
+        std::fprintf(stderr, "--port expects 0-65535; got %s\n", argv[i]);
+        return 2;
+      }
     } else if (arg == "--host" && i + 1 < argc) {
       host = argv[++i];
     } else if (arg == "--state" && i + 1 < argc) {
@@ -262,7 +266,7 @@ int main(int argc, char** argv) {
 
   rpc::ServerConfig rpc_cfg;
   rpc_cfg.host = host;
-  rpc_cfg.port = static_cast<std::uint16_t>(port);
+  rpc_cfg.port = port;
   rpc::Server server(service, rpc_cfg);
   server.attach_feedback(&feedback);
   if (retrain_job) server.attach_retrain(retrain_job.get());

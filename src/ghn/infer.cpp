@@ -4,8 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#include "parallel/parallel_for.hpp"
-#include "parallel/thread_pool.hpp"
 #include "tensor/simd.hpp"
 
 namespace pddl::ghn {
@@ -96,11 +94,6 @@ template <>
 float* arena_take<float>(ScratchArena& arena, std::size_t n) {
   return arena.floats(n);
 }
-
-// Row chunk for the intra-parallel GEMMs: big enough that one task
-// amortizes a submit, small enough that densenet-sized batches (≈700 rows)
-// still split across a handful of workers.
-constexpr std::size_t kParRowChunk = 64;
 
 }  // namespace
 
@@ -219,17 +212,10 @@ void GhnInference::embed_into(const CompGraph& g, Vector& out) const {
 
 void GhnInference::embed_batch_into(std::span<const CompGraph* const> graphs,
                                     std::span<Vector* const> outs) const {
-  embed_batch_into(graphs, outs, /*intra_pool=*/nullptr, /*min_nodes=*/0);
-}
-
-void GhnInference::embed_batch_into(std::span<const CompGraph* const> graphs,
-                                    std::span<Vector* const> outs,
-                                    ThreadPool* intra_pool,
-                                    std::size_t min_nodes) const {
   if (precision_ == Precision::kF32) {
-    embed_batch_impl<float>(w32_, graphs, outs, intra_pool, min_nodes);
+    embed_batch_impl<float>(w32_, graphs, outs);
   } else {
-    embed_batch_impl<double>(w64_, graphs, outs, intra_pool, min_nodes);
+    embed_batch_impl<double>(w64_, graphs, outs);
   }
 }
 
@@ -243,9 +229,7 @@ void GhnInference::embed_batch_into(std::span<const CompGraph* const> graphs,
 template <typename T>
 void GhnInference::embed_batch_impl(const WeightsT<T>& w,
                                     std::span<const CompGraph* const> graphs,
-                                    std::span<Vector* const> outs,
-                                    ThreadPool* intra_pool,
-                                    std::size_t min_nodes) const {
+                                    std::span<Vector* const> outs) const {
   const std::size_t G = graphs.size();
   PDDL_CHECK(G > 0, "cannot embed an empty batch");
   PDDL_CHECK(outs.size() == G,
@@ -267,24 +251,6 @@ void GhnInference::embed_batch_impl(const WeightsT<T>& w,
     max_n = std::max(max_n, n);
   }
   const std::size_t N = static_cast<std::size_t>(off[G]);
-
-  // Intra-graph parallelism gate (header contract: bit-identical, opt-in).
-  const bool par = intra_pool != nullptr && N >= min_nodes;
-  // dst rows [r0, r1) per task are disjoint and each row's operation
-  // sequence is the serial one, so row partitioning never changes bits.
-  auto par_gemm = [&](const T* a, std::size_t rows, std::size_t k,
-                      const T* wmat, std::size_t ncols, T* dst) {
-    if (!par || rows < 2 * kParRowChunk) {
-      k_gemm(a, rows, k, wmat, ncols, dst);
-      return;
-    }
-    const std::size_t nchunks = (rows + kParRowChunk - 1) / kParRowChunk;
-    parallel_for(*intra_pool, 0, nchunks, [&](std::size_t c) {
-      const std::size_t r0 = c * kParRowChunk;
-      const std::size_t r1 = std::min(rows, r0 + kParRowChunk);
-      k_gemm(a + r0 * k, r1 - r0, k, wmat, ncols, dst + r0 * ncols);
-    });
-  };
 
   // ---- module 1: node features + one batch-wide embedding GEMM ----
   // Features are computed in double (the tape's arithmetic) and narrowed on
@@ -311,7 +277,7 @@ void GhnInference::embed_batch_impl(const WeightsT<T>& w,
     }
   }
   T* h = arena_take<T>(arena, N * H);
-  par_gemm(feats, N, F, w.embed_w.data(), H, h);
+  k_gemm(feats, N, F, w.embed_w.data(), H, h);
   const T* eb = w.embed_b.data();
   for (std::size_t i = 0; i < N; ++i) {
     T* hrow = h + i * H;
@@ -461,8 +427,8 @@ void GhnInference::embed_batch_impl(const WeightsT<T>& w,
     // Old-state GRU projections as two N×H GEMMs over the whole batch.
     // Valid batched: node v's gates read h_v *before* its own (unique)
     // update, i.e. the half-pass-start value these products hold.
-    par_gemm(h, N, H, w.gru_uz.data(), H, hu_z);
-    par_gemm(h, N, H, w.gru_ur.data(), H, hu_r);
+    k_gemm(h, N, H, w.gru_uz.data(), H, hu_z);
+    k_gemm(h, N, H, w.gru_ur.data(), H, hu_r);
     std::fill(have_d, have_d + N, 0);
     if (cfg_.virtual_edges) std::fill(have_s, have_s + N, 0);
 
@@ -603,9 +569,9 @@ void GhnInference::embed_batch_impl(const WeightsT<T>& w,
 
 template void GhnInference::embed_batch_impl<double>(
     const WeightsT<double>&, std::span<const graph::CompGraph* const>,
-    std::span<Vector* const>, ThreadPool*, std::size_t) const;
+    std::span<Vector* const>) const;
 template void GhnInference::embed_batch_impl<float>(
     const WeightsT<float>&, std::span<const graph::CompGraph* const>,
-    std::span<Vector* const>, ThreadPool*, std::size_t) const;
+    std::span<Vector* const>) const;
 
 }  // namespace pddl::ghn

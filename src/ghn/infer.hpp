@@ -52,10 +52,6 @@
 
 #include "ghn/ghn2.hpp"
 
-namespace pddl {
-class ThreadPool;
-}  // namespace pddl
-
 namespace pddl::ghn {
 
 // Numeric precision of an inference engine's weights and scratch.
@@ -195,18 +191,6 @@ class GhnInference {
   // over; asserted at widths 2/4/8 in ghn_infer_test).
   void embed_batch_into(std::span<const graph::CompGraph* const> graphs,
                         std::span<Vector* const> outs) const;
-  // Same, with optional intra-graph parallelism: when `intra_pool` is
-  // non-null and the batch holds ≥ `min_nodes` total nodes, the
-  // row-partitioned batch GEMMs (embed layer, H·Uz/H·Ur) split across the
-  // pool.  Bit-identical to the serial form — each dst row is an
-  // independent computation with an unchanged operation sequence.  (The
-  // virtual-edge topology sweep stays serial: depth-capped BFS is too cheap
-  // to be worth the fan-out.)  `intra_pool` must be a pool this call does
-  // NOT run on: nesting onto the caller's own pool can deadlock, so the
-  // serve layer keeps a dedicated pool for it (ServiceConfig::parallel_embed).
-  void embed_batch_into(std::span<const graph::CompGraph* const> graphs,
-                        std::span<Vector* const> outs, ThreadPool* intra_pool,
-                        std::size_t min_nodes = 256) const;
 
   // The calling thread's scratch arena (exposed for warm-up and the
   // allocation / reuse tests; embeds reset it on entry).
@@ -251,8 +235,7 @@ class GhnInference {
   template <typename T>
   void embed_batch_impl(const WeightsT<T>& w,
                         std::span<const graph::CompGraph* const> graphs,
-                        std::span<Vector* const> outs, ThreadPool* intra_pool,
-                        std::size_t min_nodes) const;
+                        std::span<Vector* const> outs) const;
 
   GhnConfig cfg_;
   Precision precision_ = Precision::kF64;

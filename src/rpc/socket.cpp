@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 
 namespace pddl::rpc {
@@ -28,6 +29,18 @@ sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
   return addr;
 }
 }  // namespace
+
+bool parse_port(std::string_view text, std::uint16_t min_port,
+                std::uint16_t* port) {
+  unsigned value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < min_port || value > 65535) {
+    return false;
+  }
+  *port = static_cast<std::uint16_t>(value);
+  return true;
+}
 
 Socket& Socket::operator=(Socket&& other) noexcept {
   if (this != &other) {

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/check.hpp"
 
@@ -39,6 +40,12 @@ class Socket {
  private:
   int fd_ = -1;
 };
+
+// Parses a decimal TCP port in [min_port, 65535] into *port.  The whole of
+// `text` must be digits: a sign, a suffix or an out-of-range value returns
+// false and leaves *port untouched.
+bool parse_port(std::string_view text, std::uint16_t min_port,
+                std::uint16_t* port);
 
 // Resolves "localhost"/dotted-quad `host` and connects; throws on failure.
 Socket connect_tcp(const std::string& host, std::uint16_t port);

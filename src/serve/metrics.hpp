@@ -140,8 +140,8 @@ struct MetricsSnapshot {
   std::uint64_t reuse_entries = 0;        // live index entries
   DistanceHistogram::Snapshot reuse_distance;  // served neighbour distances
 
-  // ---- scratch-arena high-water mark (tape-free embed path; zero when
-  // fast_embed is off or nothing was embedded) ----
+  // ---- scratch-arena high-water mark (GhnInference embed path; zero when
+  // nothing was embedded) ----
   std::uint64_t arena_hwm_bytes = 0;  // max per-thread arena capacity seen
   std::uint64_t arena_chunks = 0;     // block count at that high-water mark
 

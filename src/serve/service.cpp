@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <span>
 #include <utility>
 
@@ -10,7 +11,6 @@
 #include "ghn/registry.hpp"
 #include "io/snapshot.hpp"
 #include "io/tensor_io.hpp"
-#include "parallel/parallel_for.hpp"
 #include "tensor/simd.hpp"
 
 namespace pddl::serve {
@@ -62,11 +62,6 @@ PredictionService::PredictionService(core::PredictDdl& engine,
   PDDL_CHECK(cfg_.queue_capacity > 0, "queue capacity must be positive");
   PDDL_CHECK(cfg_.dispatcher_threads > 0, "need at least one dispatcher");
   PDDL_CHECK(cfg_.max_batch > 0, "micro-batch size must be positive");
-  if (cfg_.parallel_embed) {
-    // Dedicated pool: embed groups may already run on engine_.pool(), and
-    // nesting a blocking parallel_for onto the caller's own pool deadlocks.
-    intra_pool_ = std::make_unique<ThreadPool>();
-  }
   dispatchers_.reserve(cfg_.dispatcher_threads);
   for (std::size_t i = 0; i < cfg_.dispatcher_threads; ++i) {
     dispatchers_.emplace_back([this] { dispatcher_loop(); });
@@ -196,36 +191,40 @@ void PredictionService::finish(Pending& p, ServeResult result) {
   p.promise.set_value(std::move(result));
 }
 
+// Indices (`idx`) refer to the dispatch's batch, or to warm_up's workloads.
+// The engine shared_ptrs pin the models this work resolved: a concurrent
+// swap_engine() or GHN put() cannot destroy them mid-embed or mid-predict.
+struct PredictionService::Work {
+  std::size_t idx = 0;
+  graph::CompGraph graph;  // built only on a memo or cache miss
+  std::uint64_t fp = 0;
+  std::shared_ptr<const ghn::GhnInference> fast;
+  std::shared_ptr<const core::InferenceEngine> engine;
+  Vector embedding;
+  double embed_ms = 0.0;
+  bool cache_hit = false;
+  bool reused = false;     // embedding came from a reuse-index neighbour
+  bool coalesced = false;  // duplicate-fingerprint miss; copies its
+                           // group representative's embedding
+  double reuse_distance = 0.0;
+  // Reuse-index signature, filled only on the cache-miss + reuse path.
+  reuse::StructuralSignature sig;
+  // Checksum of the GHN this work resolved (fast->source_checksum()).  Every
+  // cache get/put and reuse probe is keyed by it, so a request racing a GHN
+  // hot-swap can neither serve nor publish an embedding under the wrong
+  // generation.
+  std::uint64_t ghn_checksum = 0;
+  bool expired = false;  // deadline passed before its embed could run
+};
+
+struct PredictionService::MissGroup {
+  const ghn::GhnInference* fast = nullptr;
+  std::vector<std::size_t> reps;  // unique fingerprints
+  std::vector<std::pair<std::size_t, std::size_t>> dups;  // (dup, its rep)
+};
+
 void PredictionService::process_batch(std::vector<Pending> batch) {
   metrics_.record_batch_size(batch.size());
-  // Per-item embedding work for this micro-batch; indices refer to `batch`.
-  // The engine shared_ptr pins the model this batch resolved at dequeue: a
-  // concurrent swap_engine() cannot destroy it mid-predict.
-  struct Work {
-    std::size_t idx = 0;
-    graph::CompGraph graph;  // built only on a memo or cache miss
-    std::uint64_t fp = 0;
-    ghn::Ghn2* ghn = nullptr;
-    // Tape-free engine (when cfg_.fast_embed); like `engine`, the shared_ptr
-    // pins the snapshot this batch resolved even across a concurrent put().
-    std::shared_ptr<const ghn::GhnInference> fast;
-    std::shared_ptr<const core::InferenceEngine> engine;
-    Vector embedding;
-    double embed_ms = 0.0;
-    bool cache_hit = false;
-    bool reused = false;  // embedding came from a reuse-index neighbour
-    bool coalesced = false;  // duplicate-fingerprint miss; copies its
-                             // group representative's embedding
-    double reuse_distance = 0.0;
-    // Reuse-index signature, filled only on the cache-miss + reuse path.
-    reuse::StructuralSignature sig;
-    // Checksum of the GHN this request resolved at dequeue.  Every cache
-    // get/put and reuse probe is keyed by it, so a request racing a GHN
-    // hot-swap can neither serve nor publish an embedding under the wrong
-    // generation.
-    std::uint64_t ghn_checksum = 0;
-    bool expired = false;  // deadline passed before its embed could run
-  };
   std::vector<Work> live;
   live.reserve(batch.size());
 
@@ -249,8 +248,7 @@ void PredictionService::process_batch(std::vector<Pending> batch) {
     const std::string& dataset = p.req.workload.dataset.name;
     std::shared_ptr<const core::InferenceEngine> engine =
         engine_.engine_if_ready(dataset);
-    ghn::Ghn2* ghn = engine_.registry().model(dataset);
-    if (engine == nullptr || ghn == nullptr) {
+    if (engine == nullptr || !engine_.registry().has_model(dataset)) {
       metrics_.rejected_untrained.fetch_add(1, std::memory_order_relaxed);
       r.status = ServeStatus::kUntrainedDataset;
       r.error = "no fitted predictor for dataset '" + dataset +
@@ -262,13 +260,9 @@ void PredictionService::process_batch(std::vector<Pending> batch) {
     Work w;
     w.idx = i;
     w.engine = std::move(engine);
-    w.ghn = ghn;
     try {
-      if (cfg_.fast_embed) {
-        w.fast = engine_.registry().inference(dataset, cfg_.precision);
-      }
-      w.ghn_checksum = w.fast != nullptr ? w.fast->source_checksum()
-                                         : ghn::ghn_checksum(*w.ghn);
+      w.fast = engine_.registry().inference(dataset, cfg_.precision);
+      w.ghn_checksum = w.fast->source_checksum();
       // The graph is needed only on a cache miss (batched embed, reuse
       // signature), so a memoized fingerprint lets a hit skip the build.
       // A build that throws is never memoized: the key stays absent and
@@ -344,70 +338,22 @@ void PredictionService::process_batch(std::vector<Pending> batch) {
     }
     misses.push_back(k);
   }
-  // Group the misses by their resolved tape-free engine and run each group
-  // as ONE batched forward pass (GhnInference::embed_batch_into): the group
-  // shares the embed-layer GEMM and the per-step fused gate GEMMs, and — as
+  // Group the misses by their resolved engine and run each group as ONE
+  // batched forward pass (GhnInference::embed_batch_into): the group shares
+  // the embed-layer GEMM and the per-step fused gate GEMMs, and — as
   // important under load — pays one dispatch instead of one pool round-trip
   // per request.  Within a group, misses with identical fingerprints are
   // coalesced onto one representative forward pass and the duplicates copy
   // its embedding (bit-identical: same engine, same graph).  A coalesced
   // request still counts as a cache miss — it probed the shard cache and
   // missed — so completed == cache_hits + cache_misses + reuse_hits holds
-  // unchanged; embed_coalesced records the saved forward passes.  Requests
-  // without a tape-free engine (cfg_.fast_embed off) keep the legacy
-  // per-graph tape path on the shared pool.
-  struct MissGroup {
-    const ghn::GhnInference* fast = nullptr;
-    std::vector<std::size_t> reps;  // indices into `live`: unique fingerprints
-    std::vector<std::pair<std::size_t, std::size_t>> dups;  // (dup, its rep)
-  };
-  std::vector<MissGroup> groups;
-  std::vector<std::size_t> tape_misses;
-  for (std::size_t k : misses) {
-    Work& w = live[k];
-    if (w.fast == nullptr) {
-      tape_misses.push_back(k);
-      continue;
-    }
-    MissGroup* g = nullptr;
-    for (MissGroup& cand : groups) {
-      if (cand.fast == w.fast.get()) {
-        g = &cand;
-        break;
-      }
-    }
-    if (g == nullptr) {
-      groups.push_back(MissGroup{w.fast.get(), {}, {}});
-      g = &groups.back();
-    }
-    bool coalesced = false;
-    for (std::size_t rep : g->reps) {
-      if (live[rep].fp == w.fp) {
-        g->dups.emplace_back(k, rep);
-        w.coalesced = true;
-        coalesced = true;
-        break;
-      }
-    }
-    if (!coalesced) g->reps.push_back(k);
-  }
-
+  // unchanged; embed_coalesced records the saved forward passes.
+  std::vector<MissGroup> groups = group_misses(live, misses);
   std::vector<std::exception_ptr> miss_errors(live.size());
   auto run_group = [this, &live, &miss_errors](MissGroup& g) {
     Stopwatch sw;
     try {
-      std::vector<const graph::CompGraph*> gs(g.reps.size());
-      std::vector<Vector*> outs(g.reps.size());
-      for (std::size_t i = 0; i < g.reps.size(); ++i) {
-        gs[i] = &live[g.reps[i]].graph;
-        outs[i] = &live[g.reps[i]].embedding;
-      }
-      g.fast->embed_batch_into(
-          std::span<const graph::CompGraph* const>(gs.data(), gs.size()),
-          std::span<Vector* const>(outs.data(), outs.size()),
-          intra_pool_.get(), cfg_.parallel_embed_min_nodes);
-      const ghn::ScratchArena& arena = ghn::GhnInference::thread_arena();
-      metrics_.note_arena(arena.capacity_bytes(), arena.chunk_count());
+      embed_group(live, g);
     } catch (...) {
       // One batched pass serves the whole group, so a failure is the whole
       // group's failure — every member reports the same error.
@@ -416,9 +362,6 @@ void PredictionService::process_batch(std::vector<Pending> batch) {
       for (const auto& [dup, rep] : g.dups) miss_errors[dup] = err;
       return;
     }
-    for (const auto& [dup, rep] : g.dups) {
-      live[dup].embedding = live[rep].embedding;
-    }
     // Every member — representative or coalesced — reports the same
     // amortised share of the batch's wall time, so per-request embed_ms
     // sums to what the batch actually cost.
@@ -426,7 +369,6 @@ void PredictionService::process_batch(std::vector<Pending> batch) {
         sw.millis() / static_cast<double>(g.reps.size() + g.dups.size());
     for (std::size_t rep : g.reps) live[rep].embed_ms = per_req;
     for (const auto& [dup, rep] : g.dups) live[dup].embed_ms = per_req;
-    metrics_.record_embed_batch(g.reps.size(), g.dups.size());
   };
   if (groups.size() > 1) {
     // Multi-dataset dispatch: overlap the per-engine groups on the shared
@@ -446,42 +388,6 @@ void PredictionService::process_batch(std::vector<Pending> batch) {
     // The common single-dataset dispatch runs inline on the dispatcher
     // thread: one batched embed needs no pool round-trip.
     for (MissGroup& g : groups) run_group(g);
-  }
-
-  auto embed_tape = [&live](std::size_t k) {
-    Stopwatch sw;
-    Work& w = live[k];
-    w.embedding = w.ghn->embedding(w.graph);
-    w.embed_ms = sw.millis();
-  };
-  if (tape_misses.size() > 1) {
-    std::vector<std::pair<std::size_t, std::future<void>>> tape_inflight;
-    for (std::size_t k : tape_misses) {
-      if (auto f = engine_.pool().try_submit(embed_tape, k)) {
-        tape_inflight.emplace_back(k, std::move(*f));
-      } else {
-        try {
-          embed_tape(k);
-        } catch (...) {
-          miss_errors[k] = std::current_exception();
-        }
-      }
-    }
-    for (auto& [k, f] : tape_inflight) {
-      try {
-        f.get();
-      } catch (...) {
-        miss_errors[k] = std::current_exception();
-      }
-    }
-  } else {
-    for (std::size_t k : tape_misses) {
-      try {
-        embed_tape(k);
-      } catch (...) {
-        miss_errors[k] = std::current_exception();
-      }
-    }
   }
 
   for (Work& w : live) {
@@ -558,87 +464,80 @@ void PredictionService::process_batch(std::vector<Pending> batch) {
   }
 }
 
+std::vector<PredictionService::MissGroup> PredictionService::group_misses(
+    std::vector<Work>& work, const std::vector<std::size_t>& misses) {
+  std::vector<MissGroup> groups;
+  for (std::size_t k : misses) {
+    Work& w = work[k];
+    auto g = std::find_if(groups.begin(), groups.end(), [&](const auto& c) {
+      return c.fast == w.fast.get();
+    });
+    if (g == groups.end()) {
+      groups.push_back(MissGroup{w.fast.get(), {}, {}});
+      g = std::prev(groups.end());
+    }
+    auto rep = std::find_if(g->reps.begin(), g->reps.end(),
+                            [&](std::size_t r) { return work[r].fp == w.fp; });
+    if (rep != g->reps.end()) {
+      g->dups.emplace_back(k, *rep);
+      w.coalesced = true;
+    } else {
+      g->reps.push_back(k);
+    }
+  }
+  return groups;
+}
+
+void PredictionService::embed_group(std::vector<Work>& work,
+                                    const MissGroup& g) {
+  std::vector<const graph::CompGraph*> gs(g.reps.size());
+  std::vector<Vector*> outs(g.reps.size());
+  for (std::size_t i = 0; i < g.reps.size(); ++i) {
+    gs[i] = &work[g.reps[i]].graph;
+    outs[i] = &work[g.reps[i]].embedding;
+  }
+  g.fast->embed_batch_into(
+      std::span<const graph::CompGraph* const>(gs.data(), gs.size()),
+      std::span<Vector* const>(outs.data(), outs.size()));
+  for (const auto& [dup, rep] : g.dups) {
+    work[dup].embedding = work[rep].embedding;
+  }
+  const ghn::ScratchArena& arena = ghn::GhnInference::thread_arena();
+  metrics_.note_arena(arena.capacity_bytes(), arena.chunk_count());
+  metrics_.record_embed_batch(g.reps.size(), g.dups.size());
+}
+
 std::size_t PredictionService::warm_up(
     const std::vector<workload::DlWorkload>& workloads) {
   if (!cfg_.cache_enabled) return 0;
-  struct Item {
-    std::string dataset;
-    graph::CompGraph graph;
-    std::uint64_t fp = 0;
-    std::uint64_t ghn_checksum = 0;
-    ghn::Ghn2* ghn = nullptr;
-    std::shared_ptr<const ghn::GhnInference> fast;
-    Vector embedding;
-  };
-  std::vector<Item> misses;
-  for (const workload::DlWorkload& w : workloads) {
-    ghn::Ghn2* ghn = engine_.registry().model(w.dataset.name);
-    if (ghn == nullptr) continue;  // dataset not trained yet — skip
-    Item item;
-    item.dataset = w.dataset.name;
-    item.graph = w.build_graph();
-    item.fp = ghn::structural_fingerprint(item.graph);
-    fp_memo_.put(w, item.fp);
-    item.ghn = ghn;
-    if (cfg_.fast_embed) {
-      item.fast = engine_.registry().inference(item.dataset, cfg_.precision);
-    }
-    item.ghn_checksum = item.fast != nullptr ? item.fast->source_checksum()
-                                             : ghn::ghn_checksum(*ghn);
-    if (cache_.get(item.dataset, item.fp, item.ghn_checksum)) {
-      continue;  // already warm
-    }
-    misses.push_back(std::move(item));
+  std::vector<Work> misses;
+  for (std::size_t i = 0; i < workloads.size(); ++i) {
+    const workload::DlWorkload& wl = workloads[i];
+    const std::string& dataset = wl.dataset.name;
+    if (!engine_.registry().has_model(dataset)) continue;  // not trained yet
+    Work w;
+    w.idx = i;
+    w.graph = wl.build_graph();
+    w.fp = ghn::structural_fingerprint(w.graph);
+    fp_memo_.put(wl, w.fp);
+    w.fast = engine_.registry().inference(dataset, cfg_.precision);
+    w.ghn_checksum = w.fast->source_checksum();
+    if (cache_.get(dataset, w.fp, w.ghn_checksum)) continue;  // already warm
+    misses.push_back(std::move(w));
   }
-  // One batched forward pass per engine (same grouping as the dispatcher's
-  // miss path); items without a tape-free engine fall back to per-graph
-  // tape embeds on the pool.
-  std::vector<std::pair<const ghn::GhnInference*, std::vector<std::size_t>>>
-      groups;
-  std::vector<std::size_t> tape_items;
-  for (std::size_t i = 0; i < misses.size(); ++i) {
-    if (misses[i].fast == nullptr) {
-      tape_items.push_back(i);
-      continue;
-    }
-    const ghn::GhnInference* fast = misses[i].fast.get();
-    auto it = std::find_if(groups.begin(), groups.end(),
-                           [fast](const auto& g) { return g.first == fast; });
-    if (it == groups.end()) {
-      groups.emplace_back(fast, std::vector<std::size_t>{});
-      it = std::prev(groups.end());
-    }
-    it->second.push_back(i);
-  }
-  for (auto& [fast, idxs] : groups) {
-    std::vector<const graph::CompGraph*> gs(idxs.size());
-    std::vector<Vector*> outs(idxs.size());
-    for (std::size_t i = 0; i < idxs.size(); ++i) {
-      gs[i] = &misses[idxs[i]].graph;
-      outs[i] = &misses[idxs[i]].embedding;
-    }
-    fast->embed_batch_into(
-        std::span<const graph::CompGraph* const>(gs.data(), gs.size()),
-        std::span<Vector* const>(outs.data(), outs.size()), intra_pool_.get(),
-        cfg_.parallel_embed_min_nodes);
-    const ghn::ScratchArena& arena = ghn::GhnInference::thread_arena();
-    metrics_.note_arena(arena.capacity_bytes(), arena.chunk_count());
-    metrics_.record_embed_batch(idxs.size(), 0);
-  }
-  parallel_for(engine_.pool(), 0, tape_items.size(), [&](std::size_t i) {
-    Item& item = misses[tape_items[i]];
-    item.embedding = item.ghn->embedding(item.graph);
-  });
-  for (Item& item : misses) {
+  // The dispatcher's miss path: one batched forward pass per engine.
+  std::vector<std::size_t> all(misses.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  for (const MissGroup& g : group_misses(misses, all)) embed_group(misses, g);
+  for (Work& w : misses) {
+    const std::string& dataset = workloads[w.idx].dataset.name;
     if (reuse_on()) {
       // Warm embeddings double as reuse donors, so the first near-duplicate
       // of a warmed model is already a reuse hit.
-      reuse_index_.insert(item.dataset, item.ghn_checksum,
-                          item.fp, reuse::make_signature(item.graph),
-                          item.embedding);
+      reuse_index_.insert(dataset, w.ghn_checksum, w.fp,
+                          reuse::make_signature(w.graph), w.embedding);
     }
-    cache_.put(item.dataset, item.fp, item.ghn_checksum,
-               std::move(item.embedding));
+    cache_.put(dataset, w.fp, w.ghn_checksum, std::move(w.embedding));
   }
   return misses.size();
 }
@@ -686,9 +585,8 @@ std::size_t PredictionService::load_cache(const std::string& path) {
     const std::string dataset = name.substr(6);
     io::BinaryReader r = snap.reader(name);
     const std::uint64_t checksum = r.u64();
-    const ghn::Ghn2* ghn =
-        std::as_const(engine_.registry()).model(dataset);
-    if (ghn == nullptr || ghn::ghn_checksum(*ghn) != checksum) {
+    const std::uint64_t live = engine_.registry().model_checksum(dataset);
+    if (live == 0 || live != checksum) {
       // The GHN changed (retrained / different config) or is gone: every
       // embedding in this section is stale.  Skip it wholesale.
       continue;
@@ -705,8 +603,7 @@ std::size_t PredictionService::load_cache(const std::string& path) {
   }
   if (reuse_on()) {
     restored += reuse_index_.load(snap, [this](const std::string& dataset) {
-      const ghn::Ghn2* ghn = std::as_const(engine_.registry()).model(dataset);
-      return ghn == nullptr ? 0 : ghn::ghn_checksum(*ghn);
+      return engine_.registry().model_checksum(dataset);
     });
   }
   return restored;

@@ -46,7 +46,6 @@
 
 #include "core/predict_ddl.hpp"
 #include "ghn/infer.hpp"
-#include "parallel/thread_pool.hpp"
 #include "reuse/cost_model.hpp"
 #include "reuse/reuse_index.hpp"
 #include "serve/batch_sizer.hpp"
@@ -100,26 +99,16 @@ struct ServiceConfig {
   std::size_t cache_shards = 8;
   std::size_t cache_capacity = 4096;   // total entries across shards
   bool cache_enabled = true;           // false = loadgen baseline mode
-  bool fast_embed = true;              // cache misses use the tape-free
-                                       // GhnInference engine (src/ghn/infer.hpp);
-                                       // false = legacy autograd-tape path
-                                       // (parity baseline / ablations)
   double default_deadline_ms = 0.0;    // 0 = requests never expire
   bool start_paused = false;           // admission on, dispatch off (tests,
                                        // pre-warm before taking traffic)
-  // Numeric precision of the fast-embed engine (DESIGN.md §15).  The
-  // library default stays kF64 — bit-compatible with every pre-precision
-  // release and the ≤1e-9 tape-parity contract — while the serving CLIs
-  // default to kF32, whose predictions track the f64 oracle within the
-  // documented error budget at roughly half the embed latency.
+  // Numeric precision of the GhnInference engine that embeds every cache
+  // miss (src/ghn/infer.hpp, DESIGN.md §15).  The library default stays
+  // kF64 — bit-compatible with every pre-precision release and the ≤1e-9
+  // tape-parity contract — while the serving CLIs default to kF32, whose
+  // predictions track the f64 oracle within the documented error budget at
+  // roughly half the embed latency.
   ghn::Precision precision = ghn::Precision::kF64;
-  // Split each embed micro-batch's independent per-node work (BFS sweep,
-  // batched GEMM rows) across a dedicated intra-embed pool when the batch
-  // has ≥ parallel_embed_min_nodes nodes.  Bit-identical to serial; costs
-  // one extra thread pool, so off by default (single big-graph latency
-  // knob, e.g. densenet-sized workloads).
-  bool parallel_embed = false;
-  std::size_t parallel_embed_min_nodes = 256;
   // Near-duplicate reuse (src/reuse/).  Off by default; when enabled,
   // cache-missed requests first probe the reuse index and within-ε
   // neighbours are served with Confidence::kReused instead of paying a GHN
@@ -222,8 +211,20 @@ class PredictionService {
     Clock::time_point deadline;  // Clock::time_point::max() = none
   };
 
+  // One request's embedding work in a dispatch, or one warm-up workload.
+  struct Work;
+  // Cache misses sharing one GHN engine; indices refer to a Work vector.
+  struct MissGroup;
+
   void dispatcher_loop();
   void process_batch(std::vector<Pending> batch);
+  // Groups the `misses` (indices into `work`) by engine and coalesces
+  // duplicate fingerprints within a group onto one representative.
+  static std::vector<MissGroup> group_misses(
+      std::vector<Work>& work, const std::vector<std::size_t>& misses);
+  // Embeds one group in a single batched forward pass, copies each
+  // duplicate's embedding from its representative, and records the pass.
+  void embed_group(std::vector<Work>& work, const MissGroup& g);
   void finish(Pending& p, ServeResult result);
   // True when the reuse index participates in serving at all.
   bool reuse_on() const {
@@ -240,11 +241,6 @@ class PredictionService {
   reuse::ReuseCostModel reuse_cost_;
   ServiceMetrics metrics_;
   AdaptiveBatchSizer sizer_;
-  // Dedicated pool for intra-embed parallelism (cfg_.parallel_embed).  It
-  // must be distinct from engine_.pool(): micro-batch groups may already be
-  // running *on* that pool, and nesting a blocking parallel_for onto the
-  // pool a task runs on can deadlock.
-  std::unique_ptr<ThreadPool> intra_pool_;
   const Clock::time_point epoch_ = Clock::now();  // sizer time origin
 
   mutable std::mutex mutex_;

@@ -483,48 +483,6 @@ TEST(GhnInferenceF32, SteadyStateEmbedPerformsNoAllocations) {
   EXPECT_EQ(out, warm);
 }
 
-// Intra-graph parallelism (a dedicated pool, as the serve layer passes) is
-// bit-identical to the serial path at both precisions: the row-partitioned
-// GEMMs keep every dst row's operation sequence unchanged.  min_nodes = 0
-// forces the parallel path even for the small test graphs.
-TEST(GhnInference, IntraParallelEmbedBitIdenticalToSerial) {
-  Rng rng(36);
-  Ghn2 ghn(small_config(), rng);
-  ThreadPool pool(2);
-  std::vector<graph::CompGraph> graphs;
-  graphs.push_back(graph::build_model("densenet121", {3, 32, 32}, 10));
-  graphs.push_back(graph::build_model("resnet18", {3, 32, 32}, 10));
-  graphs.push_back(graph::build_model("bert_tiny", {1, 128, 1}, 1000));
-  std::vector<const graph::CompGraph*> gs;
-  for (const auto& g : graphs) gs.push_back(&g);
-  for (const Precision p : {Precision::kF64, Precision::kF32}) {
-    const GhnInference inf(ghn, p);
-    std::vector<Vector> serial(graphs.size()), par(graphs.size());
-    std::vector<Vector*> sp, pp;
-    for (std::size_t i = 0; i < graphs.size(); ++i) {
-      sp.push_back(&serial[i]);
-      pp.push_back(&par[i]);
-    }
-    inf.embed_batch_into(std::span<const graph::CompGraph* const>(gs),
-                         std::span<Vector* const>(sp));
-    inf.embed_batch_into(std::span<const graph::CompGraph* const>(gs),
-                         std::span<Vector* const>(pp), &pool,
-                         /*min_nodes=*/0);
-    for (std::size_t i = 0; i < graphs.size(); ++i) {
-      EXPECT_EQ(par[i], serial[i])
-          << graphs[i].name() << " " << precision_name(p);
-    }
-    // Above the threshold the pool is ignored entirely.
-    Vector gated;
-    Vector* gp = &gated;
-    const graph::CompGraph* one = &graphs[1];
-    inf.embed_batch_into(std::span<const graph::CompGraph* const>(&one, 1),
-                         std::span<Vector* const>(&gp, 1), &pool,
-                         /*min_nodes=*/1u << 20);
-    EXPECT_EQ(gated, serial[1]) << precision_name(p);
-  }
-}
-
 TEST(GhnRegistry, CachesOneEnginePerPrecision) {
   GhnRegistry reg;
   Rng rng(37);

@@ -50,6 +50,22 @@ Response read_response_frame(const Socket& sock) {
 
 // ---- wire format: round-trips ----
 
+TEST(Socket, ParsePortAcceptsOnlyWholeNumbersInRange) {
+  std::uint16_t port = 7;
+  EXPECT_TRUE(rpc::parse_port("0", 0, &port));
+  EXPECT_EQ(port, 0);
+  EXPECT_TRUE(rpc::parse_port("65535", 1, &port));
+  EXPECT_EQ(port, 65535);
+  EXPECT_TRUE(rpc::parse_port("7077", 1, &port));
+  EXPECT_EQ(port, 7077);
+  // Out of range, signed, partial or empty: rejected, *port untouched.
+  for (const char* bad : {"0", "65536", "70000", "-1", "+80", "80x", " 80",
+                          "", "99999999999999999999"}) {
+    EXPECT_FALSE(rpc::parse_port(bad, 1, &port)) << bad;
+    EXPECT_EQ(port, 7077) << bad;
+  }
+}
+
 TEST(Wire, FrameRoundTrips) {
   const std::string body = "arbitrary body bytes \x00\x01\x7f";
   const std::string frame = encode_frame(body);
