@@ -236,6 +236,27 @@ void BM_PolyFit(benchmark::State& state) {
 }
 BENCHMARK(BM_PolyFit)->Arg(500)->Arg(2000);
 
+// One serving-path regressor call: the log-target degree-2 model with
+// interactions over 50 features (32 embedding, 10 cluster, 8 workload),
+// fitted on 600 rows.
+void BM_PolyPredict(benchmark::State& state) {
+  Rng rng(7);
+  regress::RegressionData d;
+  d.x = Matrix::randn(600, 50, rng);
+  d.y.resize(d.x.rows());
+  for (std::size_t i = 0; i < d.y.size(); ++i) {
+    d.y[i] = std::exp(d.x(i, 0));
+  }
+  regress::LogTargetRegressor pr(
+      std::make_unique<regress::PolynomialRegression>());
+  pr.fit(d);
+  const Vector row = d.x.row(17);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pr.predict(row));
+  }
+}
+BENCHMARK(BM_PolyPredict);
+
 // CRC-32 over an in-memory buffer: every rpc frame and snapshot pays one
 // pass per side.
 void BM_Crc32(benchmark::State& state) {

@@ -42,9 +42,13 @@ class SnapshotWriter {
   std::size_t num_sections() const { return sections_.size(); }
 
   void save(std::ostream& os) const;
+  // Crash-safe: writes `path`.tmp, fsyncs it, then renames it over `path`,
+  // so `path` always holds either its previous contents or the new ones.
   void save_file(const std::string& path) const;
 
  private:
+  void write(BinaryWriter& w) const;
+
   struct Section {
     std::string name;
     // Heap-held so the writer's buffer pointer survives sections_ growing.

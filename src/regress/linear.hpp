@@ -7,6 +7,9 @@ namespace pddl::regress {
 
 // Ordinary least squares with intercept; optional ridge penalty.  Features
 // are standardized internally, so the solver sees a well-scaled system.
+// The scaler is folded into the weights once, at fit and load time
+// (w_k = coef_k/σ_k, c0 = intercept − Σ w_k μ_k), so predict() is
+// c0 + w·x with no standardized copy of the row.
 class LinearRegression : public Regressor {
  public:
   explicit LinearRegression(double ridge_lambda = 0.0)
@@ -24,14 +27,26 @@ class LinearRegression : public Regressor {
   void save(io::BinaryWriter& w) const override;
   void load(io::BinaryReader& r) override;
 
+  // The fitted model in standardized space, as saved:
+  //   intercept + coefficients · scaler.transform(x).
+  const StandardScaler& scaler() const { return scaler_; }
   const Vector& coefficients() const { return coef_; }
   double intercept() const { return intercept_; }
+  // The same model folded over raw (unstandardized) features.
+  const Vector& folded_weights() const { return w_; }
+  double folded_intercept() const { return c0_; }
 
  private:
+  void fold();
+
   double lambda_;
+  // Fitted state, as saved: the scaler and the standardized-space solution.
   StandardScaler scaler_;
   Vector coef_;
   double intercept_ = 0.0;
+  // Derived from the above by fold(); never persisted.
+  Vector w_;
+  double c0_ = 0.0;
 };
 
 // Degree-2 feature expansion.  `interactions` adds pairwise products x_i·x_j
@@ -44,7 +59,12 @@ Matrix polynomial_expand(const Matrix& x, bool interactions);
 Vector polynomial_expand_row(const Vector& row, bool interactions);
 
 // Second-order polynomial regression (the paper's preferred model, §IV-B2):
-// a ridge-stabilised OLS on the expanded features.
+// a ridge-stabilised OLS on the expanded features.  Fit and load fold the
+// inner model's weights into one quadratic form over the raw features,
+//   c0 + Σ_i x_i (a_i + Σ_{j≥i} B_ij x_j),
+// with B a packed upper triangle (its diagonal only without interactions),
+// so predict() never builds the expanded row.  The fold re-associates the
+// sum: it agrees with the expanded model to ~1e-12 relative, not bitwise.
 class PolynomialRegression : public Regressor {
  public:
   // The ridge default is deliberately non-trivial: the degree-2 basis over
@@ -65,9 +85,15 @@ class PolynomialRegression : public Regressor {
   void load(io::BinaryReader& r) override;
 
  private:
+  void fold();
+
   bool interactions_;
   double lambda_;
-  LinearRegression inner_;
+  LinearRegression inner_;  // fitted on polynomial_expand(x); saved as is
+  // The quadratic form, derived from inner_ by fold().
+  double c0_ = 0.0;
+  Vector a_;     // linear terms, one per raw feature
+  Vector quad_;  // B, row-major packed upper triangle (or diagonal)
 };
 
 }  // namespace pddl::regress

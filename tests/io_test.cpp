@@ -3,10 +3,16 @@
 // half asserts the layer's core promise — truncation, bit flips, bad magic,
 // and version skew all surface as clean pddl::Error, never as garbage state.
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
+#include <filesystem>
 #include <limits>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -511,6 +517,60 @@ TEST(Snapshot, TrailingGarbageRejected) {
   bytes += "extra";
   std::stringstream ss(bytes);
   EXPECT_THROW(SnapshotReader(ss, "test"), Error);
+}
+
+// Generation `gen` of the crash test's snapshot: the generation number and
+// a large payload whose every byte is derived from it.
+constexpr std::size_t kCrashPayloadBytes = 8u << 20;
+
+char crash_fill(std::uint64_t gen) { return static_cast<char>('a' + gen % 26); }
+
+void save_generation(const std::string& path, std::uint64_t gen) {
+  SnapshotWriter snap;
+  snap.add("gen").u64(gen);
+  const std::string payload(kCrashPayloadBytes, crash_fill(gen));
+  snap.add("payload").raw(payload.data(), payload.size());
+  snap.save_file(path);
+}
+
+TEST(Snapshot, SaveFileSurvivesSigkillMidSave) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("pddl_crash_safe_" + std::to_string(::getpid()) + ".pddl"))
+          .string();
+  save_generation(path, 0);
+  Rng rng(2023);
+  for (int round = 0; round < 8; ++round) {
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+      // Saves newer generations back to back until killed (bounded, so a
+      // child orphaned by a failing parent still ends).
+      for (std::uint64_t gen = 1; gen < 100000; ++gen) {
+        save_generation(path, gen);
+      }
+      ::_exit(0);
+    }
+    // A seeded moment in the first few saves: before the first rename,
+    // mid-write, mid-fsync or between saves.
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(rng.uniform_int(0, 60000)));
+    ::kill(child, SIGKILL);
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFSIGNALED(status)) << "round " << round;
+
+    // Whatever the kill interrupted, `path` holds one whole generation.
+    SnapshotReader snap(path);
+    const std::uint64_t gen = snap.reader("gen").u64();
+    BinaryReader r = snap.reader("payload");
+    std::string payload(kCrashPayloadBytes, '\0');
+    r.raw(payload.data(), payload.size());
+    EXPECT_EQ(payload, std::string(kCrashPayloadBytes, crash_fill(gen)))
+        << "round " << round << ", generation " << gen;
+  }
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".tmp");
 }
 
 }  // namespace

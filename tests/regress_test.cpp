@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "core/features.hpp"
 #include "regress/dataset.hpp"
 #include "regress/grid_search.hpp"
 #include "regress/linear.hpp"
+#include "regress/log_target.hpp"
 #include "regress/mlp_regressor.hpp"
 #include "regress/svr.hpp"
+#include "simulator/campaign.hpp"
 
 namespace pddl::regress {
 namespace {
@@ -179,6 +183,126 @@ TEST(Polynomial, InteractionsCaptureCrossTerm) {
   const double e2 = rmse(with_inter.predict_batch(d.x), d.y);
   EXPECT_LT(e2, 1e-6);
   EXPECT_GT(e1, 0.1);
+}
+
+// The expanded oracle: `lr` (fitted on polynomial_expand rows) evaluated the
+// unfolded way, intercept + coef · standardize(expand(x)).
+double expanded_oracle(const LinearRegression& lr, const Vector& row,
+                       bool interactions) {
+  return lr.intercept() +
+         dot(lr.coefficients(),
+             lr.scaler().transform(polynomial_expand_row(row, interactions)));
+}
+
+std::string saved_bytes(const Regressor& model) {
+  std::string bytes;
+  io::BinaryWriter w(bytes);
+  model.save(w);
+  return bytes;
+}
+
+// The fold re-associates the sum, so it must agree with the expanded model
+// to 1e-12 relative; every value compared here is well away from zero.
+void expect_fold_close(double folded, double oracle, const std::string& what) {
+  EXPECT_LE(std::fabs(folded - oracle), 1e-12 * std::fabs(oracle))
+      << what << ": folded " << folded << " vs expanded " << oracle;
+}
+
+TEST(PolynomialFold, MatchesExpandedOracle) {
+  // Six features, column 3 constant (the scaler's σ = 1 branch), target
+  // offset so no prediction is near zero.
+  Rng rng(31);
+  RegressionData d;
+  d.x = Matrix::uniform(300, 6, rng, -2.0, 3.0);
+  d.y.resize(d.x.rows());
+  for (std::size_t i = 0; i < d.x.rows(); ++i) {
+    d.x(i, 3) = 7.0;
+    d.y[i] = 20.0 + d.x(i, 0) + d.x(i, 1) * d.x(i, 2) +
+             0.5 * d.x(i, 4) * d.x(i, 4) + rng.gaussian(0.0, 0.1);
+  }
+  const Matrix probe = Matrix::uniform(50, 6, rng, -2.0, 3.0);
+  for (bool interactions : {true, false}) {
+    for (double lambda : {0.0, 1e-3}) {
+      const std::string what = std::string(interactions ? "interactions" :
+                                                          "squares only") +
+                               ", lambda=" + std::to_string(lambda);
+      PolynomialRegression pr(interactions, lambda);
+      pr.fit(d);
+      LinearRegression oracle(lambda);
+      oracle.fit({polynomial_expand(d.x, interactions), d.y});
+      for (const Matrix& x : {d.x, probe}) {
+        for (std::size_t i = 0; i < x.rows(); ++i) {
+          const Vector row = x.row(i);
+          const double want = expanded_oracle(oracle, row, interactions);
+          expect_fold_close(pr.predict(row), want, what);
+          // LinearRegression folds its own scaler the same way.
+          expect_fold_close(
+              oracle.predict(polynomial_expand_row(row, interactions)), want,
+              what + " (linear fold)");
+        }
+      }
+
+      PolynomialRegression restored;
+      io::BinaryReader r(saved_bytes(pr), "polynomial regressor");
+      restored.load(r);
+      for (std::size_t i = 0; i < probe.rows(); ++i) {
+        EXPECT_EQ(restored.predict(probe.row(i)), pr.predict(probe.row(i)))
+            << what;
+      }
+      EXPECT_THROW(pr.predict(Vector(5, 1.0)), Error) << what;
+      EXPECT_THROW(pr.predict(Vector(7, 1.0)), Error) << what;
+      EXPECT_THROW(oracle.predict(Vector(6, 1.0)), Error) << what;
+    }
+  }
+}
+
+TEST(PolynomialFold, LogTargetMatchesExpandedOracleOnFig09Campaign) {
+  // The fig09 setup: the full campaign, 50-wide rows (32-d embedding, 10
+  // cluster, 8 workload features), 80/20 split with seed 2023, the paper's
+  // log-target polynomial regressor.  The GHNs are untrained — the fold is
+  // about the regressor, so any fixed embedding exercises it.
+  ThreadPool pool(4);
+  sim::DdlSimulator simulator;
+  const auto all = sim::run_campaign(simulator, sim::CampaignConfig{}, pool);
+  ghn::GhnRegistry registry;
+  core::FeatureBuilder features(registry);
+  std::uint64_t seed = 1;
+  for (const char* ds : {"cifar10", "tiny_imagenet"}) {
+    Rng rng(seed++);
+    registry.put(ds, std::make_unique<ghn::Ghn2>(ghn::GhnConfig{}, rng));
+    const RegressionData data =
+        features.build_dataset(sim::filter_by_dataset(all, ds));
+    ASSERT_EQ(data.num_features(), core::FeatureBuilder::feature_dim(32));
+    const auto split = train_test_split(data, 0.8, 2023);
+
+    LogTargetRegressor model(std::make_unique<PolynomialRegression>());
+    model.fit(split.train);
+    RegressionData logged{polynomial_expand(split.train.x, true),
+                          Vector(split.train.size())};
+    for (std::size_t i = 0; i < logged.y.size(); ++i) {
+      logged.y[i] = std::log(split.train.y[i]);
+    }
+    LinearRegression oracle(1e-3);
+    oracle.fit(logged);
+    const double lo = *std::min_element(logged.y.begin(), logged.y.end());
+    const double hi = *std::max_element(logged.y.begin(), logged.y.end());
+
+    LogTargetRegressor restored(std::make_unique<PolynomialRegression>());
+    io::BinaryReader r(saved_bytes(model), "log-target regressor");
+    restored.load(r);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      const Vector row = data.x.row(i);
+      const double want = expanded_oracle(oracle, row, true);
+      const double got = model.inner().predict(row);
+      expect_fold_close(got, want, std::string(ds) + " row " +
+                                       std::to_string(i));
+      EXPECT_EQ(model.predict(row),
+                std::exp(std::clamp(got, lo - 1.0, hi + 1.0)));
+      EXPECT_EQ(restored.predict(row), model.predict(row));
+    }
+    EXPECT_THROW(model.predict(Vector(data.num_features() - 1, 1.0)), Error);
+    EXPECT_THROW(model.predict(Vector(data.num_features() + 1, 1.0)), Error);
+  }
 }
 
 TEST(SvrRbf, FitsQuadraticWithinTube) {

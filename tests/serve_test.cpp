@@ -192,6 +192,69 @@ TEST_F(ServeTest, GoldenPredictionsAndGhnChecksumStayPinned) {
                 1e-4 * golden[i].seconds)
         << golden[i].model;
   }
+
+  // Larger clusters lean on the quadratic cross terms between the embedding
+  // and the cluster features, which 4-server rows barely exercise.  The
+  // fixture campaign stops at 8 servers, so the last two 16-server rows land
+  // on the log-target clamp.
+  struct GoldenRow {
+    const char* model;
+    int servers;
+    double seconds;
+  };
+  const std::vector<GoldenRow> rows = {
+      {"alexnet", 8, 94.057791260551909},
+      {"resnet18", 8, 64.465576892702273},
+      {"resnet50", 8, 97.71098598431729},
+      {"vgg11", 8, 104.21082571331898},
+      {"mobilenet_v3_small", 8, 35.082169525041188},
+      {"squeezenet1_1", 8, 35.711040775608012},
+      {"densenet121", 8, 56.534586199105711},
+      {"alexnet", 16, 593.71588842958795},
+      {"resnet18", 16, 486.27307620201736},
+      {"resnet50", 16, 533.28730654924209},
+      {"vgg11", 16, 325.01916368186937},
+      {"mobilenet_v3_small", 16, 338.81501467388409},
+      {"squeezenet1_1", 16, 628.87672206504158},
+      {"densenet121", 16, 628.87672206504158},
+  };
+  for (const GoldenRow& row : rows) {
+    const core::PredictRequest req = make_request(row.model, row.servers);
+    const ServeResult a = f64_service.predict(req);
+    const ServeResult b = f32_service.predict(req);
+    ASSERT_TRUE(a.ok()) << a.error;
+    ASSERT_TRUE(b.ok()) << b.error;
+    EXPECT_NEAR(a.response.predicted_time_s, row.seconds, 1e-9 * row.seconds)
+        << row.model << " on " << row.servers << " servers";
+    EXPECT_NEAR(b.response.predicted_time_s, row.seconds, 1e-4 * row.seconds)
+        << row.model << " on " << row.servers << " servers";
+  }
+
+  // Non-data-parallel rows need a predictor fitted on strategy rows (on the
+  // dp-only fixture every pp/tp request lands on the clamp).  Same GHN, a
+  // dp + pp2x4 + tp2 campaign.
+  core::PredictDdlOptions opts = fast_options();
+  opts.campaign.strategies = {"dp", "pp2x4", "tp2"};
+  core::PredictDdl mixed(*sim_, *pool_, opts);
+  mixed.registry().put("cifar10", pddl_->registry().clone_model("cifar10"));
+  mixed.train_offline(workload::cifar10());
+  PredictionService mixed_service(mixed);
+  struct GoldenStrategyRow {
+    workload::ParallelismSpec par;
+    double seconds;
+  };
+  for (const GoldenStrategyRow& row :
+       {GoldenStrategyRow{workload::ParallelismSpec::pipeline(2, 4),
+                          102.79153617129813},
+        GoldenStrategyRow{workload::ParallelismSpec::tensor(2),
+                          213.16742455455545}}) {
+    core::PredictRequest req = make_request("resnet50", 8);
+    req.workload.parallelism = row.par;
+    const ServeResult a = mixed_service.predict(req);
+    ASSERT_TRUE(a.ok()) << a.error;
+    EXPECT_NEAR(a.response.predicted_time_s, row.seconds, 1e-9 * row.seconds)
+        << row.par.key();
+  }
 }
 
 TEST_F(ServeTest, CacheKeyIsStructuralAcrossClusterShapes) {
