@@ -38,8 +38,8 @@
 // pass, duplicate fingerprints coalesce onto a single forward pass, and the
 // `closed-adaptive` row additionally sizes each dispatch from queue depth /
 // arrival rate / batch service time instead of the static cap.  The
-// embatch/adaptive telemetry printed after each cold run shows how wide the
-// passes actually ran.
+// metrics dump printed after each cold run (its embed_batch and adaptive
+// lines) shows how wide the passes actually ran.
 //
 // `--family cnn|transformers|all` picks the workload population: the
 // Table II CIFAR-10 rows (default), the bert/gpt families on wikitext103,
@@ -175,37 +175,6 @@ RunStats closed_loop(serve::PredictionService& service,
   s.submitted = threads * rounds * reqs.size();
   s.metrics = service.metrics();
   return s;
-}
-
-void print_feedback_counters(const serve::MetricsSnapshot& m) {
-  std::printf(
-      "feedback: observed=%llu rejected=%llu drift_events=%llu "
-      "refits=%llu/%llu (failed=%llu) engine_swaps=%llu\n",
-      static_cast<unsigned long long>(m.observations_ingested),
-      static_cast<unsigned long long>(m.observations_rejected),
-      static_cast<unsigned long long>(m.drift_events),
-      static_cast<unsigned long long>(m.refits_completed),
-      static_cast<unsigned long long>(m.refits_started),
-      static_cast<unsigned long long>(m.refits_failed),
-      static_cast<unsigned long long>(m.engine_swaps));
-}
-
-void print_batch_telemetry(const serve::MetricsSnapshot& m) {
-  std::printf(
-      "embatch: batches=%llu graphs=%llu mean_width=%.2f coalesced=%llu",
-      static_cast<unsigned long long>(m.embed_batches),
-      static_cast<unsigned long long>(m.embed_batch_graphs),
-      m.mean_embed_batch_width(),
-      static_cast<unsigned long long>(m.embed_coalesced));
-  if (m.adaptive_decisions != 0) {
-    std::printf(
-        " | adaptive: decisions=%llu mean_choice=%.2f arrival_hz=%.1f "
-        "batch_service_ms=%.3f",
-        static_cast<unsigned long long>(m.adaptive_decisions),
-        m.mean_adaptive_choice(), m.adaptive_arrival_hz,
-        m.adaptive_batch_service_ms);
-  }
-  std::printf("\n");
 }
 
 // Mean client-side wall time one request occupies one thread for — the
@@ -357,7 +326,7 @@ int run(double feedback_rate, double feedback_skew, const std::string& family,
     nocache = closed_loop(service, reqs, kThreads, kRounds);
     add_row(table, "closed", false, std::to_string(kThreads) + " threads",
             nocache);
-    print_batch_telemetry(nocache.metrics);
+    std::printf("%s", nocache.metrics.to_string().c_str());
   }
 
   // --- Closed loop, no cache, adaptive dispatch sizing: the sizer grows
@@ -371,7 +340,7 @@ int run(double feedback_rate, double feedback_skew, const std::string& family,
     adaptive_cold = closed_loop(service, reqs, kThreads, kRounds);
     add_row(table, "closed-adaptive", false,
             std::to_string(kThreads) + " threads", adaptive_cold);
-    print_batch_telemetry(adaptive_cold.metrics);
+    std::printf("%s", adaptive_cold.metrics.to_string().c_str());
   }
 
   // --- Closed loop, warm cache: repeat traffic skips the forward pass. ---
@@ -459,7 +428,7 @@ int run(double feedback_rate, double feedback_skew, const std::string& family,
         "\nfeedback interleave: rate=%.2f skew=%+.0f%% — %.0f rps with "
         "observations riding along\n",
         feedback_rate, 100.0 * feedback_skew, s.throughput_rps());
-    print_feedback_counters(service.metrics());
+    std::printf("%s", service.metrics().to_string().c_str());
     write_metrics_json(service.metrics(), "serve_loadgen_feedback.json");
   }
   const double local_us = us_per_request(local, kThreads);
@@ -504,7 +473,6 @@ int run_remote(const std::string& host, std::uint16_t port,
   emit(table, "serve_loadgen --remote — rpc front-end under load",
        "serve_loadgen_remote.csv");
   write_metrics_json(s.metrics, "serve_loadgen_metrics.json");
-  if (feedback_rate > 0.0) print_feedback_counters(s.metrics);
   std::printf("%s", s.metrics.to_string().c_str());
   return s.ok == s.submitted ? 0 : 1;
 }
@@ -549,7 +517,7 @@ int run_smoke(const std::string& family, ghn::Precision precision) {
   server.stop();
 
   const serve::MetricsSnapshot& m = s.metrics;
-  print_batch_telemetry(m);
+  std::printf("%s", m.to_string().c_str());
   const bool all_ok = s.ok == s.submitted;
   const bool no_frame_errors = m.rpc_frame_errors == 0;
   const bool accounted =

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 
+#include "common/atomic_file.hpp"
 #include "common/check.hpp"
 
 namespace pddl {
@@ -112,9 +112,7 @@ void Table::write_csv(const std::string& path) const {
   if (p.has_parent_path()) {
     std::filesystem::create_directories(p.parent_path());
   }
-  std::ofstream out(path);
-  PDDL_CHECK(out.good(), "cannot open CSV output: ", path);
-  out << to_csv();
+  io::write_file_atomic(path, to_csv());
 }
 
 }  // namespace pddl

@@ -3,6 +3,8 @@
 #include <bit>
 #include <fstream>
 
+#include "common/atomic_file.hpp"
+
 namespace pddl::ghn {
 
 using ag::Var;
@@ -164,11 +166,11 @@ std::unique_ptr<Ghn2> load_ghn(io::BinaryReader& r) {
 }
 
 void save_ghn(const std::string& path, const Ghn2& ghn) {
-  std::ofstream os(path, std::ios::binary);
-  PDDL_CHECK(os.good(), "cannot open for write: ", path);
-  io::BinaryWriter w(os);
+  std::string bytes;
+  io::BinaryWriter w(bytes);
   save_ghn(w, ghn);
   w.finish_crc();
+  io::write_file_atomic(path, bytes);
 }
 
 std::unique_ptr<Ghn2> load_ghn(const std::string& path) {

@@ -4,6 +4,7 @@
 #include <iomanip>
 #include <sstream>
 
+#include "common/atomic_file.hpp"
 #include "io/binary.hpp"
 
 namespace pddl::graph {
@@ -89,9 +90,9 @@ CompGraph load_graph(std::istream& is) {
 }
 
 void save_graph_file(const std::string& path, const CompGraph& g) {
-  std::ofstream os(path, std::ios::binary);
-  PDDL_CHECK(os.good(), "cannot open for write: ", path);
+  std::ostringstream os;
   save_graph(os, g);
+  io::write_file_atomic(path, os.str());
 }
 
 CompGraph load_graph_file(const std::string& path) {

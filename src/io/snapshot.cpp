@@ -1,13 +1,8 @@
 #include "io/snapshot.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
+
+#include "common/atomic_file.hpp"
 
 namespace pddl::io {
 
@@ -42,57 +37,11 @@ void SnapshotWriter::save(std::ostream& os) const {
   write(w);
 }
 
-namespace {
-
-// Writes all of `bytes` to `fd` and fsyncs it; false on any failure.
-bool write_all_and_sync(int fd, const std::string& bytes) {
-  std::size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    done += static_cast<std::size_t>(n);
-  }
-  return ::fsync(fd) == 0;
-}
-
-}  // namespace
-
 void SnapshotWriter::save_file(const std::string& path) const {
-  // Write-temp → fsync → rename: a crash at any point leaves either the old
-  // file or the complete new one at `path`, never a truncated mix.
   std::string bytes;
   BinaryWriter w(bytes);
   write(w);
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                        0644);
-  PDDL_CHECK(fd >= 0, "cannot open for write: ", tmp, ": ",
-             std::strerror(errno));
-  bool ok = write_all_and_sync(fd, bytes);
-  int cause = errno;
-  if (::close(fd) != 0 && ok) {
-    ok = false;
-    cause = errno;
-  }
-  if (ok && std::rename(tmp.c_str(), path.c_str()) != 0) {
-    ok = false;
-    cause = errno;
-  }
-  if (!ok) {
-    std::remove(tmp.c_str());
-    PDDL_CHECK(false, "failed writing snapshot: ", path, ": ",
-               std::strerror(cause));
-  }
-  // Make the rename itself durable (best effort: not every filesystem lets
-  // a directory be opened for fsync).
-  const std::string dir = std::filesystem::path(path).parent_path().string();
-  const int dfd = ::open(dir.empty() ? "." : dir.c_str(),
-                         O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
+  write_file_atomic(path, bytes);
 }
 
 SnapshotReader::SnapshotReader(std::istream& is, std::string what)

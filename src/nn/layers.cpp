@@ -6,6 +6,7 @@
 #include <istream>
 #include <ostream>
 
+#include "common/atomic_file.hpp"
 #include "io/tensor_io.hpp"
 
 namespace pddl::nn {
@@ -204,10 +205,11 @@ void load_parameters(std::istream& is, const std::vector<Matrix*>& ps) {
 }
 
 void save_parameters_file(const std::string& path, Module& m) {
-  std::ofstream os(path, std::ios::binary);
-  PDDL_CHECK(os.good(), "cannot open for write: ", path);
   auto ps = m.parameters();
-  save_parameters(os, {ps.begin(), ps.end()});
+  std::string bytes;
+  io::BinaryWriter w(bytes);
+  save_parameters(w, {ps.begin(), ps.end()});
+  io::write_file_atomic(path, bytes);
 }
 
 void load_parameters_file(const std::string& path, Module& m) {

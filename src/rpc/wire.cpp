@@ -1,5 +1,7 @@
 #include "rpc/wire.hpp"
 
+#include <type_traits>
+
 namespace pddl::rpc {
 
 const char* to_string(Op op) {
@@ -145,171 +147,44 @@ serve::ServeResult read_serve_result(io::BinaryReader& r) {
   return out;
 }
 
+// The stats encoding is the metrics table (serve::for_each_field) walked in
+// row order, derived rows skipped.  Writing and reading share the walk, so
+// the two directions cannot disagree on the field order.
 namespace {
-void write_histogram(io::BinaryWriter& w,
-                     const serve::LatencyHistogram::Snapshot& h) {
-  w.u64(h.count);
-  w.f64(h.mean_ms);
-  w.f64(h.p50_ms);
-  w.f64(h.p95_ms);
-  w.f64(h.p99_ms);
-  w.f64(h.max_ms);
+void field(io::BinaryWriter& w, const std::uint64_t& v) { w.u64(v); }
+void field(io::BinaryReader& r, std::uint64_t& v) { v = r.u64(); }
+void field(io::BinaryWriter& w, const double& v) { w.f64(v); }
+void field(io::BinaryReader& r, double& v) { v = r.f64(); }
+void field(io::BinaryWriter& w, const std::string& v) { w.str(v); }
+void field(io::BinaryReader& r, std::string& v) { v = r.str(); }
+
+// Histograms stat by stat, per-size count arrays slot by slot.
+template <class Stream, class T>
+void field(Stream& s, T& v) {
+  if constexpr (serve::HistogramSnapshot<T>) {
+    serve::for_each_stat(v, [&](const char*, auto& x) { field(s, x); });
+  } else {
+    for (auto& c : v) field(s, c);
+  }
 }
 
-serve::LatencyHistogram::Snapshot read_histogram(io::BinaryReader& r) {
-  serve::LatencyHistogram::Snapshot h;
-  h.count = r.u64();
-  h.mean_ms = r.f64();
-  h.p50_ms = r.f64();
-  h.p95_ms = r.f64();
-  h.p99_ms = r.f64();
-  h.max_ms = r.f64();
-  return h;
-}
-
-void write_distance_histogram(io::BinaryWriter& w,
-                              const serve::DistanceHistogram::Snapshot& h) {
-  w.u64(h.count);
-  w.f64(h.mean);
-  w.f64(h.p50);
-  w.f64(h.p95);
-  w.f64(h.p99);
-  w.f64(h.max);
-}
-
-serve::DistanceHistogram::Snapshot read_distance_histogram(
-    io::BinaryReader& r) {
-  serve::DistanceHistogram::Snapshot h;
-  h.count = r.u64();
-  h.mean = r.f64();
-  h.p50 = r.f64();
-  h.p95 = r.f64();
-  h.p99 = r.f64();
-  h.max = r.f64();
-  return h;
+template <class Stream, class Snapshot>
+void walk_metrics(Stream& s, Snapshot& m) {
+  serve::for_each_field([&](const char*, const char*, auto member, auto) {
+    if constexpr (!std::is_member_function_pointer_v<decltype(member)>) {
+      field(s, m.*member);
+    }
+  });
 }
 }  // namespace
 
 void write_metrics(io::BinaryWriter& w, const serve::MetricsSnapshot& m) {
-  w.u64(m.submitted);
-  w.u64(m.completed);
-  w.u64(m.cache_hits);
-  w.u64(m.cache_misses);
-  w.u64(m.rejected_queue_full);
-  w.u64(m.rejected_untrained);
-  w.u64(m.deadline_expired);
-  w.u64(m.errors);
-  w.u64(m.cache_entries);
-  w.u64(m.cache_evictions);
-  w.u64(m.rpc_connections_accepted);
-  w.u64(m.rpc_connections_active);
-  w.u64(m.rpc_connections_rejected);
-  w.u64(m.rpc_frames_received);
-  w.u64(m.rpc_frames_sent);
-  w.u64(m.rpc_frame_errors);
-  w.u64(m.rpc_read_timeouts);
-  w.u64(m.observations_ingested);
-  w.u64(m.observations_rejected);
-  w.u64(m.drift_events);
-  w.u64(m.refits_started);
-  w.u64(m.refits_completed);
-  w.u64(m.refits_failed);
-  w.u64(m.engine_swaps);
-  w.u64(m.cache_stale_drops);
-  w.u64(m.ghn_drift_events);
-  w.u64(m.retrains_started);
-  w.u64(m.retrains_completed);
-  w.u64(m.retrains_failed);
-  w.u64(m.ghn_swaps);
-  w.u64(m.batches_dispatched);
-  for (std::uint64_t c : m.batch_size_counts) w.u64(c);
-  w.u64(m.embed_batches);
-  w.u64(m.embed_batch_graphs);
-  w.u64(m.embed_coalesced);
-  for (std::uint64_t c : m.embed_batch_size_counts) w.u64(c);
-  w.u64(m.adaptive_decisions);
-  w.u64(m.adaptive_chosen_graphs);
-  w.f64(m.adaptive_arrival_hz);
-  w.f64(m.adaptive_batch_service_ms);
-  w.u64(m.reuse_hits);
-  w.u64(m.reuse_rejected);
-  w.u64(m.reuse_misses);
-  w.u64(m.reuse_inserts);
-  w.u64(m.reuse_evictions);
-  w.u64(m.reuse_invalidations);
-  w.u64(m.reuse_entries);
-  w.u64(m.arena_hwm_bytes);
-  w.u64(m.arena_chunks);
-  write_histogram(w, m.e2e);
-  write_histogram(w, m.queue);
-  write_histogram(w, m.service);
-  write_histogram(w, m.embed_hit);
-  write_histogram(w, m.embed_miss);
-  write_distance_histogram(w, m.reuse_distance);
-  // v8: embed-engine provenance strings (precision + live dispatch level).
-  w.str(m.engine_precision);
-  w.str(m.kernel_dispatch);
+  walk_metrics(w, m);
 }
 
 serve::MetricsSnapshot read_metrics(io::BinaryReader& r) {
   serve::MetricsSnapshot m;
-  m.submitted = r.u64();
-  m.completed = r.u64();
-  m.cache_hits = r.u64();
-  m.cache_misses = r.u64();
-  m.rejected_queue_full = r.u64();
-  m.rejected_untrained = r.u64();
-  m.deadline_expired = r.u64();
-  m.errors = r.u64();
-  m.cache_entries = r.u64();
-  m.cache_evictions = r.u64();
-  m.rpc_connections_accepted = r.u64();
-  m.rpc_connections_active = r.u64();
-  m.rpc_connections_rejected = r.u64();
-  m.rpc_frames_received = r.u64();
-  m.rpc_frames_sent = r.u64();
-  m.rpc_frame_errors = r.u64();
-  m.rpc_read_timeouts = r.u64();
-  m.observations_ingested = r.u64();
-  m.observations_rejected = r.u64();
-  m.drift_events = r.u64();
-  m.refits_started = r.u64();
-  m.refits_completed = r.u64();
-  m.refits_failed = r.u64();
-  m.engine_swaps = r.u64();
-  m.cache_stale_drops = r.u64();
-  m.ghn_drift_events = r.u64();
-  m.retrains_started = r.u64();
-  m.retrains_completed = r.u64();
-  m.retrains_failed = r.u64();
-  m.ghn_swaps = r.u64();
-  m.batches_dispatched = r.u64();
-  for (std::uint64_t& c : m.batch_size_counts) c = r.u64();
-  m.embed_batches = r.u64();
-  m.embed_batch_graphs = r.u64();
-  m.embed_coalesced = r.u64();
-  for (std::uint64_t& c : m.embed_batch_size_counts) c = r.u64();
-  m.adaptive_decisions = r.u64();
-  m.adaptive_chosen_graphs = r.u64();
-  m.adaptive_arrival_hz = r.f64();
-  m.adaptive_batch_service_ms = r.f64();
-  m.reuse_hits = r.u64();
-  m.reuse_rejected = r.u64();
-  m.reuse_misses = r.u64();
-  m.reuse_inserts = r.u64();
-  m.reuse_evictions = r.u64();
-  m.reuse_invalidations = r.u64();
-  m.reuse_entries = r.u64();
-  m.arena_hwm_bytes = r.u64();
-  m.arena_chunks = r.u64();
-  m.e2e = read_histogram(r);
-  m.queue = read_histogram(r);
-  m.service = read_histogram(r);
-  m.embed_hit = read_histogram(r);
-  m.embed_miss = read_histogram(r);
-  m.reuse_distance = read_distance_histogram(r);
-  m.engine_precision = r.str();
-  m.kernel_dispatch = r.str();
+  walk_metrics(r, m);
   return m;
 }
 

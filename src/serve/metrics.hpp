@@ -11,8 +11,10 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 namespace pddl::serve {
 
@@ -35,6 +37,8 @@ class LatencyHistogram {
     double p95_ms = 0.0;
     double p99_ms = 0.0;
     double max_ms = 0.0;
+
+    bool operator==(const Snapshot&) const = default;
   };
   Snapshot snapshot() const;
 
@@ -69,6 +73,8 @@ class DistanceHistogram {
     double p95 = 0.0;
     double p99 = 0.0;
     double max = 0.0;
+
+    bool operator==(const Snapshot&) const = default;
   };
   Snapshot snapshot() const;
 
@@ -80,6 +86,27 @@ class DistanceHistogram {
   std::atomic<std::uint64_t> max_1e9_{0};
 };
 
+template <class T>
+concept HistogramSnapshot =
+    std::is_same_v<std::remove_cvref_t<T>, LatencyHistogram::Snapshot> ||
+    std::is_same_v<std::remove_cvref_t<T>, DistanceHistogram::Snapshot>;
+
+// Visits a histogram snapshot's six stats in wire order as (JSON key, value
+// reference): count, mean, p50, p95, p99, max — keyed with an "_ms" suffix
+// for latencies.
+template <HistogramSnapshot H, class Visitor>
+void for_each_stat(H& h, Visitor&& stat) {
+  constexpr bool ms = std::is_same_v<std::remove_cvref_t<H>,
+                                     LatencyHistogram::Snapshot>;
+  auto& [count, mean, p50, p95, p99, max] = h;
+  stat("count", count);
+  stat(ms ? "mean_ms" : "mean", mean);
+  stat(ms ? "p50_ms" : "p50", p50);
+  stat(ms ? "p95_ms" : "p95", p95);
+  stat(ms ? "p99_ms" : "p99", p99);
+  stat(ms ? "max_ms" : "max", max);
+}
+
 // Per-dispatch micro-batch sizes are tracked exactly up to this size; larger
 // batches land in one overflow slot.  Covers every sane max_batch setting
 // (default 8) while keeping the counter array small enough to snapshot and
@@ -87,7 +114,9 @@ class DistanceHistogram {
 inline constexpr std::size_t kMaxTrackedBatchSize = 32;
 
 // One snapshot of every service counter plus derived rates; returned by
-// PredictionService::metrics() and rendered by to_string().
+// PredictionService::metrics() and rendered by to_string().  Every member
+// is listed once in for_each_field() below, which drives the snapshot, the
+// rpc stats encoding and both renderers.
 struct MetricsSnapshot {
   std::uint64_t submitted = 0;       // admission attempts
   std::uint64_t completed = 0;       // responses with status kOk
@@ -182,29 +211,46 @@ struct MetricsSnapshot {
   LatencyHistogram::Snapshot embed_hit;   // cache-hit lookup time
   LatencyHistogram::Snapshot embed_miss;  // forward-pass (uncached) time
 
+  // The derived rates; each is 0 when its denominator is.
   double cache_hit_rate() const {
-    const std::uint64_t total = cache_hits + cache_misses;
-    return total == 0 ? 0.0 : static_cast<double>(cache_hits) /
-                                  static_cast<double>(total);
+    return ratio(cache_hits, cache_hits + cache_misses);
   }
 
   // Mean requests per dispatched micro-batch (overflow batches count as
-  // kMaxTrackedBatchSize + 1, a floor); 0 when nothing was dispatched.
-  double mean_batch_size() const;
+  // kMaxTrackedBatchSize + 1, a floor).
+  double mean_batch_size() const {
+    std::uint64_t weighted = 0;
+    for (std::size_t i = 0; i < batch_size_counts.size(); ++i) {
+      weighted += batch_size_counts[i] * (i + 1);
+    }
+    return ratio(weighted, batches_dispatched);
+  }
 
-  // Mean unique graphs per batched forward pass; 0 when none ran.
-  double mean_embed_batch_width() const;
+  // Mean unique graphs per batched forward pass.
+  double mean_embed_batch_width() const {
+    return ratio(embed_batch_graphs, embed_batches);
+  }
 
-  // Mean dispatch size the adaptive sizer chose; 0 when it never ran.
-  double mean_adaptive_choice() const;
+  // Mean dispatch size the adaptive sizer chose.
+  double mean_adaptive_choice() const {
+    return ratio(adaptive_chosen_graphs, adaptive_decisions);
+  }
 
-  // Multi-line human-readable dump (the "metrics dump" of the example
-  // server and the load generator's per-run report).
+  static double ratio(std::uint64_t num, std::uint64_t den) {
+    return den == 0 ? 0.0
+                    : static_cast<double>(num) / static_cast<double>(den);
+  }
+
+  // Human-readable dump (the "metrics dump" of the example server and the
+  // load generator's per-run report): one `  <group> : key=value ...` line
+  // per table group with the JSON keys, plus one line per histogram.  The
+  // top-level group always prints; any other group only once one of its
+  // fields is nonzero or non-empty.
   std::string to_string() const;
 
-  // Single-object JSON rendering of every field (counters, rpc layer, and
-  // the three histograms).  One implementation shared by the rpc `stats`
-  // consumers (predict_client --json) and serve_loadgen's persisted report.
+  // Single-object JSON rendering of every table row, each group as one
+  // nested object.  One implementation shared by the rpc `stats` consumers
+  // (predict_client --json) and serve_loadgen's persisted report.
   std::string to_json() const;
 };
 
@@ -276,9 +322,100 @@ class ServiceMetrics {
   LatencyHistogram embed_miss_ms;
   DistanceHistogram reuse_distance;
 
-  // Counter + histogram snapshot; cache fields are filled in by the service,
-  // which owns the cache.
+  // Counter + histogram snapshot of every table row with a live source;
+  // the rest (cache, reuse index, adaptive gauges, engine, rpc) are filled
+  // in by the service and the rpc server, which own them.
   MetricsSnapshot snapshot() const;
 };
+
+// The metrics table: one `row(group, key, member, live)` per MetricsSnapshot
+// field, and the only list of them.  `group` is "" (top level) or the nested
+// JSON object / text line the field belongs to; `key` is its JSON key there.
+// `member` is the MetricsSnapshot member, whose type is the field's kind
+// (counter, gauge, count array, histogram, string), or for the four derived
+// rates the member function computing it.  `live` is the ServiceMetrics
+// source snapshot() copies, or nullptr when the service or rpc server fills
+// the field or it is derived.  Stored rows are in protocol-v8 stats order:
+// the wire codec walks them in turn, so moving or inserting one changes the
+// encoding.  A new counter is its atomic, its member and one row.
+template <class Visitor>
+void for_each_field(Visitor&& row) {
+  using M = MetricsSnapshot;
+  using S = ServiceMetrics;
+  constexpr std::nullptr_t filled = nullptr;
+  row("", "submitted", &M::submitted, &S::submitted);
+  row("", "completed", &M::completed, &S::completed);
+  row("", "cache_hits", &M::cache_hits, &S::cache_hits);
+  row("", "cache_misses", &M::cache_misses, &S::cache_misses);
+  row("", "cache_hit_rate", &M::cache_hit_rate, filled);
+  row("", "rejected_queue_full", &M::rejected_queue_full,
+      &S::rejected_queue_full);
+  row("", "rejected_untrained", &M::rejected_untrained,
+      &S::rejected_untrained);
+  row("", "deadline_expired", &M::deadline_expired, &S::deadline_expired);
+  row("", "errors", &M::errors, &S::errors);
+  row("", "cache_entries", &M::cache_entries, filled);
+  row("", "cache_evictions", &M::cache_evictions, filled);
+  row("rpc", "connections_accepted", &M::rpc_connections_accepted, filled);
+  row("rpc", "connections_active", &M::rpc_connections_active, filled);
+  row("rpc", "connections_rejected", &M::rpc_connections_rejected, filled);
+  row("rpc", "frames_received", &M::rpc_frames_received, filled);
+  row("rpc", "frames_sent", &M::rpc_frames_sent, filled);
+  row("rpc", "frame_errors", &M::rpc_frame_errors, filled);
+  row("rpc", "read_timeouts", &M::rpc_read_timeouts, filled);
+  row("feedback", "observations_ingested", &M::observations_ingested,
+      &S::observations_ingested);
+  row("feedback", "observations_rejected", &M::observations_rejected,
+      &S::observations_rejected);
+  row("feedback", "drift_events", &M::drift_events, &S::drift_events);
+  row("feedback", "refits_started", &M::refits_started, &S::refits_started);
+  row("feedback", "refits_completed", &M::refits_completed,
+      &S::refits_completed);
+  row("feedback", "refits_failed", &M::refits_failed, &S::refits_failed);
+  row("feedback", "engine_swaps", &M::engine_swaps, &S::engine_swaps);
+  row("", "cache_stale_drops", &M::cache_stale_drops, filled);
+  row("retrain", "ghn_drift_events", &M::ghn_drift_events,
+      &S::ghn_drift_events);
+  row("retrain", "retrains_started", &M::retrains_started,
+      &S::retrains_started);
+  row("retrain", "retrains_completed", &M::retrains_completed,
+      &S::retrains_completed);
+  row("retrain", "retrains_failed", &M::retrains_failed, &S::retrains_failed);
+  row("retrain", "ghn_swaps", &M::ghn_swaps, &S::ghn_swaps);
+  row("batch", "dispatched", &M::batches_dispatched, &S::batches_dispatched);
+  row("batch", "mean_size", &M::mean_batch_size, filled);
+  row("batch", "size_counts", &M::batch_size_counts, &S::batch_size_counts);
+  row("embed_batch", "batches", &M::embed_batches, &S::embed_batches);
+  row("embed_batch", "graphs", &M::embed_batch_graphs,
+      &S::embed_batch_graphs);
+  row("embed_batch", "coalesced", &M::embed_coalesced, &S::embed_coalesced);
+  row("embed_batch", "mean_width", &M::mean_embed_batch_width, filled);
+  row("embed_batch", "width_counts", &M::embed_batch_size_counts,
+      &S::embed_batch_size_counts);
+  row("adaptive", "decisions", &M::adaptive_decisions,
+      &S::adaptive_decisions);
+  row("adaptive", "chosen_graphs", &M::adaptive_chosen_graphs,
+      &S::adaptive_chosen_graphs);
+  row("adaptive", "mean_choice", &M::mean_adaptive_choice, filled);
+  row("adaptive", "arrival_hz", &M::adaptive_arrival_hz, filled);
+  row("adaptive", "batch_service_ms", &M::adaptive_batch_service_ms, filled);
+  row("reuse", "hits", &M::reuse_hits, filled);
+  row("reuse", "rejected", &M::reuse_rejected, filled);
+  row("reuse", "misses", &M::reuse_misses, filled);
+  row("reuse", "inserts", &M::reuse_inserts, filled);
+  row("reuse", "evictions", &M::reuse_evictions, filled);
+  row("reuse", "invalidations", &M::reuse_invalidations, filled);
+  row("reuse", "entries", &M::reuse_entries, filled);
+  row("arena", "hwm_bytes", &M::arena_hwm_bytes, &S::arena_hwm_bytes);
+  row("arena", "chunks", &M::arena_chunks, &S::arena_chunks);
+  row("", "e2e", &M::e2e, &S::e2e_ms);
+  row("", "queue", &M::queue, &S::queue_ms);
+  row("", "service", &M::service, &S::service_ms);
+  row("", "embed_hit", &M::embed_hit, &S::embed_hit_ms);
+  row("", "embed_miss", &M::embed_miss, &S::embed_miss_ms);
+  row("reuse", "distance", &M::reuse_distance, &S::reuse_distance);
+  row("engine", "precision", &M::engine_precision, filled);
+  row("engine", "dispatch", &M::kernel_dispatch, filled);
+}
 
 }  // namespace pddl::serve

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "cluster/cluster.hpp"
+#include "common/atomic_file.hpp"
 #include "graph/models.hpp"
 #include "io/tensor_io.hpp"
 
@@ -166,9 +167,9 @@ std::vector<Measurement> load_measurements_csv(std::istream& is) {
 
 void save_measurements_csv_file(const std::string& path,
                                 const std::vector<Measurement>& ms) {
-  std::ofstream os(path);
-  PDDL_CHECK(os.good(), "cannot open for write: ", path);
+  std::ostringstream os;
   save_measurements_csv(os, ms);
+  io::write_file_atomic(path, os.str());
 }
 
 std::vector<Measurement> load_measurements_csv_file(const std::string& path) {

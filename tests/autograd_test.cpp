@@ -90,6 +90,10 @@ struct GradCheckCase {
   std::size_t rows, cols;
 };
 
+// Without a printer gtest dumps the raw bytes, pointers included, so the
+// listed test names would change with every load address.
+void PrintTo(const GradCheckCase& tc, std::ostream* os) { *os << tc.name; }
+
 class GradCheck : public ::testing::TestWithParam<GradCheckCase> {};
 
 TEST_P(GradCheck, MatchesFiniteDifferences) {

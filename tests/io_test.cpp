@@ -13,9 +13,11 @@
 #include <limits>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "ghn/ghn2.hpp"
 #include "io/binary.hpp"
 #include "io/snapshot.hpp"
 #include "io/tensor_io.hpp"
@@ -533,44 +535,88 @@ void save_generation(const std::string& path, std::uint64_t gen) {
   snap.save_file(path);
 }
 
-TEST(Snapshot, SaveFileSurvivesSigkillMidSave) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("pddl_crash_safe_" + std::to_string(::getpid()) + ".pddl"))
-          .string();
-  save_generation(path, 0);
+// Eight times: a forked child calls save(path, gen) for gen = 1, 2, ... back
+// to back and is SIGKILLed at a seeded moment in its first few saves
+// (before the first rename, mid-write, mid-fsync or between saves); then
+// expect_whole(path) checks that `path` holds one whole generation.
+template <class Save, class ExpectWhole>
+void kill_mid_save_rounds(const std::string& path, Save save,
+                          ExpectWhole expect_whole) {
+  save(path, 0);
   Rng rng(2023);
   for (int round = 0; round < 8; ++round) {
     const pid_t child = ::fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
-      // Saves newer generations back to back until killed (bounded, so a
-      // child orphaned by a failing parent still ends).
-      for (std::uint64_t gen = 1; gen < 100000; ++gen) {
-        save_generation(path, gen);
-      }
+      // Bounded, so a child orphaned by a failing parent still ends.
+      for (std::uint64_t gen = 1; gen < 100000; ++gen) save(path, gen);
       ::_exit(0);
     }
-    // A seeded moment in the first few saves: before the first rename,
-    // mid-write, mid-fsync or between saves.
     std::this_thread::sleep_for(
         std::chrono::microseconds(rng.uniform_int(0, 60000)));
     ::kill(child, SIGKILL);
     int status = 0;
     ASSERT_EQ(::waitpid(child, &status, 0), child);
     ASSERT_TRUE(WIFSIGNALED(status)) << "round " << round;
-
-    // Whatever the kill interrupted, `path` holds one whole generation.
-    SnapshotReader snap(path);
-    const std::uint64_t gen = snap.reader("gen").u64();
-    BinaryReader r = snap.reader("payload");
-    std::string payload(kCrashPayloadBytes, '\0');
-    r.raw(payload.data(), payload.size());
-    EXPECT_EQ(payload, std::string(kCrashPayloadBytes, crash_fill(gen)))
-        << "round " << round << ", generation " << gen;
+    SCOPED_TRACE("round " + std::to_string(round));
+    expect_whole(path);
   }
   std::filesystem::remove(path);
   std::filesystem::remove(path + ".tmp");
+}
+
+std::string crash_path(const std::string& stem) {
+  return (std::filesystem::temp_directory_path() /
+          (stem + std::to_string(::getpid()) + ".pddl"))
+      .string();
+}
+
+TEST(Snapshot, SaveFileSurvivesSigkillMidSave) {
+  kill_mid_save_rounds(
+      crash_path("pddl_crash_safe_"), save_generation,
+      [](const std::string& path) {
+        SnapshotReader snap(path);
+        const std::uint64_t gen = snap.reader("gen").u64();
+        BinaryReader r = snap.reader("payload");
+        std::string payload(kCrashPayloadBytes, '\0');
+        r.raw(payload.data(), payload.size());
+        EXPECT_EQ(payload, std::string(kCrashPayloadBytes, crash_fill(gen)))
+            << "generation " << gen;
+      });
+}
+
+// The standalone GHN file goes through the same temp → fsync → rename path:
+// a ~1M-parameter GHN (about 8 MB on disk) whose every parameter holds its
+// generation number reads back whole, with one value throughout.
+TEST(Snapshot, SaveGhnFileSurvivesSigkillMidSave) {
+  ghn::GhnConfig cfg;
+  cfg.hidden_dim = 256;
+  cfg.mlp_hidden = 256;
+  Rng init(7);
+  ghn::Ghn2 net(cfg, init);
+  kill_mid_save_rounds(
+      crash_path("pddl_crash_safe_ghn_"),
+      [&net](const std::string& path, std::uint64_t gen) {
+        for (Matrix* p : net.parameters()) {
+          std::fill(p->data(), p->data() + p->size(), static_cast<double>(gen));
+        }
+        ghn::save_ghn(path, net);
+      },
+      [](const std::string& path) {
+        const std::unique_ptr<ghn::Ghn2> back = ghn::load_ghn(path);
+        const std::vector<const Matrix*> params =
+            std::as_const(*back).parameters();
+        ASSERT_FALSE(params.empty());
+        const double gen = params.front()->data()[0];
+        std::size_t scalars = 0;
+        for (const Matrix* p : params) {
+          scalars += p->size();
+          for (std::size_t i = 0; i < p->size(); ++i) {
+            ASSERT_EQ(p->data()[i], gen);
+          }
+        }
+        EXPECT_GT(scalars, 500000u);
+      });
 }
 
 }  // namespace

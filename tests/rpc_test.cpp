@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -372,58 +373,39 @@ TEST(Wire, ResponseWithResultsRoundTrips) {
   EXPECT_EQ(back.results[1].error, "admission queue at capacity (64)");
 }
 
+// Gives every stored metrics-table row a value no other row shares.
+struct DistinctFill {
+  std::uint64_t next = 1;
+  void operator()(std::uint64_t& v) { v = next++; }
+  void operator()(double& v) { v = static_cast<double>(next++) + 0.25; }
+  void operator()(std::string& s) { s = "v" + std::to_string(next++); }
+  template <std::size_t N>
+  void operator()(std::array<std::uint64_t, N>& a) {
+    for (std::uint64_t& c : a) (*this)(c);
+  }
+  template <serve::HistogramSnapshot H>
+  void operator()(H& h) {
+    serve::for_each_stat(h, [&](const char*, auto& x) { (*this)(x); });
+  }
+};
+
 TEST(Wire, StatsResponseRoundTripsEveryCounter) {
   Response resp;
   resp.op = Op::kStats;
-  resp.stats.submitted = 11;
-  resp.stats.completed = 10;
-  resp.stats.cache_hits = 7;
-  resp.stats.rpc_connections_accepted = 3;
-  resp.stats.rpc_frames_received = 42;
-  resp.stats.rpc_frame_errors = 2;
-  resp.stats.rpc_read_timeouts = 1;
-  resp.stats.e2e.count = 10;
-  resp.stats.e2e.p99_ms = 12.5;
-  resp.stats.observations_ingested = 21;
-  resp.stats.observations_rejected = 4;
-  resp.stats.drift_events = 2;
-  resp.stats.refits_started = 3;
-  resp.stats.refits_completed = 2;
-  resp.stats.refits_failed = 1;
-  resp.stats.engine_swaps = 2;
-  resp.stats.batches_dispatched = 9;
-  resp.stats.batch_size_counts[0] = 5;
-  resp.stats.batch_size_counts[7] = 3;
-  resp.stats.batch_size_counts[serve::kMaxTrackedBatchSize] = 1;
-  resp.stats.embed_hit.count = 7;
-  resp.stats.embed_hit.p95_ms = 0.02;
-  resp.stats.embed_miss.count = 3;
-  resp.stats.embed_miss.max_ms = 11.5;
+  DistinctFill fill;
+  serve::for_each_field([&](const char*, const char*, auto member, auto) {
+    if constexpr (!std::is_member_function_pointer_v<decltype(member)>) {
+      fill(resp.stats.*member);
+    }
+  });
 
   const Response back = decode_response(encode_response(resp));
-  EXPECT_EQ(back.stats.submitted, 11u);
-  EXPECT_EQ(back.stats.cache_hits, 7u);
-  EXPECT_EQ(back.stats.rpc_connections_accepted, 3u);
-  EXPECT_EQ(back.stats.rpc_frames_received, 42u);
-  EXPECT_EQ(back.stats.rpc_frame_errors, 2u);
-  EXPECT_EQ(back.stats.rpc_read_timeouts, 1u);
-  EXPECT_EQ(back.stats.e2e.count, 10u);
-  EXPECT_EQ(back.stats.e2e.p99_ms, 12.5);
-  EXPECT_EQ(back.stats.observations_ingested, 21u);
-  EXPECT_EQ(back.stats.observations_rejected, 4u);
-  EXPECT_EQ(back.stats.drift_events, 2u);
-  EXPECT_EQ(back.stats.refits_started, 3u);
-  EXPECT_EQ(back.stats.refits_completed, 2u);
-  EXPECT_EQ(back.stats.refits_failed, 1u);
-  EXPECT_EQ(back.stats.engine_swaps, 2u);
-  EXPECT_EQ(back.stats.batches_dispatched, 9u);
-  EXPECT_EQ(back.stats.batch_size_counts[0], 5u);
-  EXPECT_EQ(back.stats.batch_size_counts[7], 3u);
-  EXPECT_EQ(back.stats.batch_size_counts[serve::kMaxTrackedBatchSize], 1u);
-  EXPECT_EQ(back.stats.embed_hit.count, 7u);
-  EXPECT_EQ(back.stats.embed_hit.p95_ms, 0.02);
-  EXPECT_EQ(back.stats.embed_miss.count, 3u);
-  EXPECT_EQ(back.stats.embed_miss.max_ms, 11.5);
+  serve::for_each_field([&](const char* group, const char* key, auto member,
+                            auto) {
+    EXPECT_TRUE(std::invoke(member, back.stats) ==
+                std::invoke(member, resp.stats))
+        << group << "." << key;
+  });
 }
 
 TEST(Wire, ErrorResponseRoundTrips) {
@@ -500,6 +482,70 @@ TEST(Wire, GoldenPredictBatchFramesAreByteStable) {
   EXPECT_EQ(encode_frame(encode_response(decode_response(decode_frame(
                 resp_frame)))),
             resp_frame);
+}
+
+// Every MetricsSnapshot field set by hand to a value no other field shares,
+// so a field dropped, duplicated or moved in the stats encoding changes the
+// frame bytes.
+serve::MetricsSnapshot populated_snapshot() {
+  serve::MetricsSnapshot m;
+  std::uint64_t next = 1;
+  for (std::uint64_t* f :
+       {&m.submitted, &m.completed, &m.cache_hits, &m.cache_misses,
+        &m.rejected_queue_full, &m.rejected_untrained, &m.deadline_expired,
+        &m.errors, &m.cache_entries, &m.cache_evictions, &m.cache_stale_drops,
+        &m.rpc_connections_accepted, &m.rpc_connections_active,
+        &m.rpc_connections_rejected, &m.rpc_frames_received,
+        &m.rpc_frames_sent, &m.rpc_frame_errors, &m.rpc_read_timeouts,
+        &m.observations_ingested, &m.observations_rejected, &m.drift_events,
+        &m.refits_started, &m.refits_completed, &m.refits_failed,
+        &m.engine_swaps, &m.ghn_drift_events, &m.retrains_started,
+        &m.retrains_completed, &m.retrains_failed, &m.ghn_swaps,
+        &m.reuse_hits, &m.reuse_rejected, &m.reuse_misses, &m.reuse_inserts,
+        &m.reuse_evictions, &m.reuse_invalidations, &m.reuse_entries,
+        &m.arena_hwm_bytes, &m.arena_chunks, &m.batches_dispatched,
+        &m.embed_batches, &m.embed_batch_graphs, &m.embed_coalesced,
+        &m.adaptive_decisions, &m.adaptive_chosen_graphs}) {
+    *f = next++;
+  }
+  for (std::uint64_t& c : m.batch_size_counts) c = 100 + next++;
+  for (std::uint64_t& c : m.embed_batch_size_counts) c = 200 + next++;
+  m.adaptive_arrival_hz = 1234.5;
+  m.adaptive_batch_service_ms = 0.8125;
+  double v = 0.0;
+  for (serve::LatencyHistogram::Snapshot* h :
+       {&m.e2e, &m.queue, &m.service, &m.embed_hit, &m.embed_miss}) {
+    h->count = 1000 + next++;
+    h->mean_ms = v += 0.5;
+    h->p50_ms = v += 0.25;
+    h->p95_ms = v += 1.125;
+    h->p99_ms = v += 2.0625;
+    h->max_ms = v += 4.5;
+  }
+  m.reuse_distance.count = 1000 + next++;
+  m.reuse_distance.mean = 0.0015;
+  m.reuse_distance.p50 = 0.00125;
+  m.reuse_distance.p95 = 0.03;
+  m.reuse_distance.p99 = 0.0475;
+  m.reuse_distance.max = 0.0625;
+  m.engine_precision = "f32";
+  m.kernel_dispatch = "avx2";
+  return m;
+}
+
+// The stats frame is pinned the same way as the predict frames: recorded
+// from the protocol-v8 encoder while it was still written field by field.
+TEST(Wire, GoldenStatsFrameIsByteStable) {
+  Response resp;
+  resp.op = Op::kStats;
+  resp.stats = populated_snapshot();
+  const std::string frame = encode_frame(encode_response(resp));
+  EXPECT_EQ(frame.size(), 1229u);
+  EXPECT_EQ(crc_trailer(frame), 0x38118460u);
+  EXPECT_EQ(fnv1a64(frame), 0x8e90125e74796931ull);
+  EXPECT_EQ(encode_frame(encode_response(decode_response(decode_frame(
+                frame)))),
+            frame);
 }
 
 // ---- wire format: adversarial ----

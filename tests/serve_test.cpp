@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -118,7 +120,7 @@ TEST_F(ServeTest, EmbedLatencySplitsByCacheOutcome) {
   const std::string json = m.to_json();
   EXPECT_NE(json.find("\"embed_hit\""), std::string::npos);
   EXPECT_NE(json.find("\"embed_miss\""), std::string::npos);
-  EXPECT_NE(m.to_string().find("embed hit"), std::string::npos);
+  EXPECT_NE(m.to_string().find("embed_hit"), std::string::npos);
 }
 
 TEST_F(ServeTest, F32PrecisionServesWithinBudgetAndReportsEngine) {
@@ -730,11 +732,105 @@ TEST(LatencyHistogram, OverflowBucketUsesObservedMax) {
   EXPECT_NEAR(s.p99_ms, 45000.0, 1e-3);
 }
 
+TEST(DistanceHistogram, QuantilesLandInTheRightBuckets) {
+  DistanceHistogram h;
+  for (int i = 0; i < 90; ++i) h.record(0.003);  // bucket (2e-3, 5e-3]
+  for (int i = 0; i < 10; ++i) h.record(0.3);    // bucket (0.1, 0.5]
+  const auto s = h.snapshot();
+  EXPECT_EQ(s.count, 100u);
+  EXPECT_NEAR(s.mean, 0.9 * 0.003 + 0.1 * 0.3, 1e-9);
+  EXPECT_GT(s.p50, 2e-3);
+  EXPECT_LE(s.p50, 5e-3);
+  EXPECT_GT(s.p95, 0.1);
+  EXPECT_LE(s.p95, 0.3);  // interpolation is clamped to the observed max
+  EXPECT_GT(s.p99, 0.1);
+  EXPECT_LE(s.p99, 0.3);
+  EXPECT_NEAR(s.max, 0.3, 1e-9);
+  EXPECT_LE(s.p50, s.p95);
+  EXPECT_LE(s.p95, s.p99);
+}
+
+TEST(DistanceHistogram, EmptyAndOverflowBucketUsesObservedMax) {
+  DistanceHistogram h;
+  EXPECT_EQ(h.snapshot().count, 0u);
+  EXPECT_EQ(h.snapshot().p99, 0.0);
+  h.record(3.5);  // beyond the last bound (2.0)
+  h.record(-1.0);  // clamped to 0: bucket [0, 1e-5]
+  const auto s = h.snapshot();
+  EXPECT_EQ(s.count, 2u);
+  EXPECT_EQ(h.bucket_counts()[DistanceHistogram::kBuckets - 1], 1u);
+  EXPECT_EQ(h.bucket_counts()[0], 1u);
+  EXPECT_NEAR(s.max, 3.5, 1e-9);
+  EXPECT_NEAR(s.p99, 3.5, 1e-9);
+  EXPECT_LE(s.p50, 1e-5);
+}
+
 namespace {
 std::size_t count_char(const std::string& s, char c) {
   return static_cast<std::size_t>(std::count(s.begin(), s.end(), c));
 }
+
+// Every key path "group.key" (or "key" at top level) of a JSON document made
+// of objects, arrays and scalars, with how often each occurs.  Only as much
+// JSON as to_json() writes: no whitespace, no escapes inside strings.
+void collect_json_keys(const std::string& s, std::size_t& i,
+                       const std::string& prefix,
+                       std::map<std::string, int>& out) {
+  ASSERT_EQ(s[i], '{');
+  ++i;
+  while (s[i] != '}') {
+    if (s[i] == ',') ++i;
+    ASSERT_LT(i, s.size());
+    ASSERT_EQ(s[i], '"');
+    const std::size_t end = s.find('"', i + 1);
+    const std::string key = prefix + s.substr(i + 1, end - i - 1);
+    ++out[key];
+    i = end + 1;
+    ASSERT_EQ(s[i], ':');
+    ++i;
+    if (s[i] == '{') {
+      collect_json_keys(s, i, key + ".", out);
+      if (::testing::Test::HasFatalFailure()) return;
+    } else if (s[i] == '"') {
+      i = s.find('"', i + 1) + 1;
+    } else if (s[i] == '[') {
+      i = s.find(']', i) + 1;
+    } else {
+      i = s.find_first_of(",}", i);
+    }
+    ASSERT_LT(i, s.size());
+  }
+  ++i;
+}
 }  // namespace
+
+TEST(Metrics, EveryTableRowAppearsOnceInItsGroupsJsonObject) {
+  ServiceMetrics m;
+  m.submitted.store(3);
+  m.e2e_ms.record(2.0);
+  const std::string json = m.snapshot().to_json();
+  std::map<std::string, int> keys;
+  std::size_t i = 0;
+  collect_json_keys(json, i, "", keys);
+  EXPECT_EQ(i, json.size());
+  // The paths the table implies: each row inside its group's object, each
+  // group object itself, and each stat inside a histogram row's object.
+  std::map<std::string, int> expected;
+  for_each_field([&](const std::string& group, const char* key, auto member,
+                     auto) {
+    const std::string path = group.empty() ? key : group + "." + key;
+    EXPECT_EQ(keys[path], 1) << path;
+    ++expected[path];
+    if (!group.empty()) expected[group] = 1;
+    const auto value = std::invoke(member, MetricsSnapshot{});
+    if constexpr (HistogramSnapshot<decltype(value)>) {
+      for_each_stat(value, [&](const char* stat, const auto&) {
+        ++expected[path + "." + stat];
+      });
+    }
+  });
+  EXPECT_EQ(keys, expected);
+}
 
 TEST(Metrics, ToJsonZeroRequestSnapshotIsWellFormed) {
   // A snapshot taken before any traffic: every counter zero, every
@@ -779,13 +875,14 @@ TEST(Metrics, ToJsonReportsFeedbackCounters) {
   // The human dump grows a feedback line once the loop saw traffic.
   const std::string text = s.to_string();
   EXPECT_NE(text.find("feedback"), std::string::npos);
-  EXPECT_NE(text.find("observed=7"), std::string::npos);
-  EXPECT_NE(text.find("refits=1/2 (failed=1)"), std::string::npos);
+  EXPECT_NE(text.find("observations_ingested=7"), std::string::npos);
+  EXPECT_NE(text.find("refits_started=2 refits_completed=1 refits_failed=1"),
+            std::string::npos);
 }
 
 TEST(Metrics, QuietSnapshotOmitsOptionalTextSections) {
-  // No rpc, batch, or feedback traffic: the human-readable dump stays the
-  // in-process four-section shape (json keeps all sections, always).
+  // No rpc, batch, or feedback traffic: the human-readable dump keeps only
+  // the top-level group and its histograms (json keeps all groups, always).
   const std::string text = ServiceMetrics().snapshot().to_string();
   EXPECT_EQ(text.find("rpc"), std::string::npos);
   EXPECT_EQ(text.find("batch"), std::string::npos);
@@ -1033,7 +1130,7 @@ TEST(Metrics, EmbedBatchTelemetryTracksWidthsAndCoalescing) {
   EXPECT_EQ(s.embed_batch_size_counts[0], 1u);
   EXPECT_EQ(s.embed_batch_size_counts[kMaxTrackedBatchSize], 1u);
   EXPECT_NE(s.to_json().find("\"embed_batch\""), std::string::npos);
-  EXPECT_NE(s.to_string().find("embatch"), std::string::npos);
+  EXPECT_NE(s.to_string().find("embed_batch"), std::string::npos);
 }
 
 TEST(Metrics, SnapshotRendersKeyFields) {
@@ -1045,7 +1142,7 @@ TEST(Metrics, SnapshotRendersKeyFields) {
   m.e2e_ms.record(1.0);
   const std::string text = m.snapshot().to_string();
   EXPECT_NE(text.find("submitted=10"), std::string::npos);
-  EXPECT_NE(text.find("hit_rate=75.0%"), std::string::npos);
+  EXPECT_NE(text.find("cache_hit_rate=0.750000"), std::string::npos);
   EXPECT_NE(text.find("p99"), std::string::npos);
 }
 
