@@ -479,6 +479,34 @@ TEST_F(FeedbackTest, DriftTriggersBackgroundRefitAndShiftsPredictions) {
   EXPECT_EQ(m.engine_swaps, 1u);
 }
 
+// The drift fixture above on an engine of its own (the suite's shared one
+// carries earlier tests' refitted regressors), with the post-refit
+// prediction pinned bit-exactly.  Refactors of the refit path must leave
+// the literal unchanged.
+TEST_F(FeedbackTest, GoldenPostRefitPredictionStaysPinned) {
+  ThreadPool pool(8);
+  sim::DdlSimulator sim;
+  core::PredictDdl engine(sim, pool, fast_options());
+  engine.train_offline(workload::cifar10());
+  serve::PredictionService service(engine);
+  FeedbackConfig cfg;
+  cfg.drift.window = 16;
+  cfg.drift.min_count = 8;
+  cfg.drift.rel_p50_threshold = 0.25;
+  FeedbackController fb(service, engine, cfg);
+
+  const core::PredictRequest req = make_request("resnet18");
+  const double before = service.predict(req).response.predicted_time_s;
+  EXPECT_EQ(before, 79.837223196834543);
+  for (std::size_t i = 0; i < cfg.drift.min_count; ++i) {
+    ASSERT_TRUE(fb.observe(req, 3.0 * before).accepted);
+  }
+  fb.wait_idle();
+  ASSERT_EQ(service.metrics().engine_swaps, 1u);
+  EXPECT_EQ(service.predict(req).response.predicted_time_s,
+            162.33643680618735);
+}
+
 TEST_F(FeedbackTest, ExplicitRefitWorksWithoutAnyObservations) {
   serve::PredictionService service(*pddl_);
   FeedbackController fb(service, *pddl_);
