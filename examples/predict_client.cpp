@@ -27,8 +27,8 @@
 //                                and the per-family decomposition with the
 //                                ghn_drift (retrain-the-GHN) signal
 //   --retrain FAM --dataset D    explicitly enqueue a GHN fine-tune for
-//                                family FAM on dataset D (needs a server
-//                                running with --auto-retrain)
+//                                family FAM on dataset D (any server;
+//                                --auto-retrain is not needed)
 //   --retrain-status             print the GHN generation, the last
 //                                fine-tune summary, and the per-family
 //                                before/after error across the last swap
@@ -344,7 +344,7 @@ int main(int argc, char** argv) {
       std::printf("retrain %s@%s: %s\n", family.c_str(), dataset.c_str(),
                   started ? "enqueued" : "already queued or running");
     } else if (op == "retrain-status") {
-      const retrain::RetrainStatus s = client.retrain_status();
+      const feedback::RetrainStatus s = client.retrain_status();
       std::printf("retrains: generation=%llu started=%llu completed=%llu "
                   "failed=%llu in_progress=%s queued=%zu\n",
                   static_cast<unsigned long long>(s.generation),
@@ -366,7 +366,7 @@ int main(int argc, char** argv) {
       if (!s.last_error.empty()) {
         std::printf("last_error: %s\n", s.last_error.c_str());
       }
-      for (const retrain::FamilyErrorDelta& d : s.families) {
+      for (const feedback::FamilyErrorDelta& d : s.families) {
         std::printf("family  %-10s @%-12s before: p50_rel=%.3f (n=%zu)  "
                     "after: p50_rel=%.3f (n=%zu)\n",
                     d.family.c_str(), d.dataset.c_str(), d.before.p50_rel,

@@ -41,21 +41,22 @@
 //                     DESIGN.md §15 error budget of the f64 oracle) or f64
 //                     (the ≤1e-9 tape-parity ablation path).  The stats op
 //                     reports the live precision and kernel dispatch level.
-//   --auto-retrain    run a retrain::GhnTrainerJob: a per-family ghn_drift
-//                     crossing fine-tunes the dataset's GHN on a background
-//                     thread and hot-swaps it (with a regressor refitted on
-//                     the new embeddings) through the registry path — the
-//                     retrain / retrain_status ops then work over rpc.
-//                     Retrain state (generation, before/after error) rides
-//                     in the --save-state snapshot.
+//   --auto-retrain    a per-family ghn_drift crossing enqueues a GHN
+//                     fine-tune on the controller's update thread, which
+//                     hot-swaps the new GHN (with a regressor refitted on
+//                     the new embeddings) through the registry path.  The
+//                     retrain / retrain_status ops work without this flag;
+//                     it only makes drift trigger retrains on its own.
 //   --seed S          RNG seed pinning background refit/fine-tune work
 //                     (default 1); two runs from the same snapshot and
 //                     observation sequence swap in bit-identical models
 //
 // The server always runs a feedback::FeedbackController, so the observe /
-// refit / refit_status ops work out of the box: schedulers report measured
-// training times, drift past the threshold refits the regressor on a
-// background thread, and the new model is hot-swapped in with zero downtime.
+// refit / refit_status / retrain / retrain_status ops work out of the box:
+// schedulers report measured training times, drift past the threshold
+// refits the regressor on a background thread, and the new model is
+// hot-swapped in with zero downtime.  Retrain state (generation,
+// before/after error) rides in the --save-state snapshot.
 //
 // Talk to it with examples/predict_client, e.g.:
 //   ./build/examples/predict_server --fast --port 7077 &
@@ -67,7 +68,6 @@
 #include <string>
 #include <thread>
 
-#include "retrain/trainer_job.hpp"
 #include "rpc/server.hpp"
 #include "rpc/socket.hpp"
 #include "tensor/simd.hpp"
@@ -235,6 +235,7 @@ int main(int argc, char** argv) {
               warm_sw.millis());
 
   feedback::FeedbackConfig fb_cfg;
+  fb_cfg.auto_retrain = auto_retrain;
   fb_cfg.seed = seed;
   feedback::FeedbackController feedback(service, pddl, fb_cfg);
   if (!state_dir.empty()) {
@@ -243,23 +244,12 @@ int main(int argc, char** argv) {
     if (restored > 0) {
       std::printf("observation log: %zu records restored\n", restored);
     }
-  }
-
-  // Declared after the controller so the job (whose worker calls back into
-  // service, engine, and controller) is destroyed first.
-  std::unique_ptr<retrain::GhnTrainerJob> retrain_job;
-  if (auto_retrain) {
-    retrain_job =
-        std::make_unique<retrain::GhnTrainerJob>(service, pddl, feedback);
-    feedback.attach_retrain(retrain_job.get());
-    if (!state_dir.empty()) {
-      const io::SnapshotReader snap(state_dir + "/state.pddl");
-      if (retrain_job->load(snap)) {
-        std::printf("retrain state restored (generation %llu)\n",
-                    static_cast<unsigned long long>(
-                        retrain_job->status().generation));
-      }
+    if (const std::uint64_t gen = feedback.retrain_status().generation) {
+      std::printf("retrain state restored (generation %llu)\n",
+                  static_cast<unsigned long long>(gen));
     }
+  }
+  if (auto_retrain) {
     std::printf("auto-retrain on (seed=%llu)\n",
                 static_cast<unsigned long long>(seed));
   }
@@ -269,7 +259,6 @@ int main(int argc, char** argv) {
   rpc_cfg.port = port;
   rpc::Server server(service, rpc_cfg);
   server.attach_feedback(&feedback);
-  if (retrain_job) server.attach_retrain(retrain_job.get());
   server.start();
   std::printf("listening on %s\n", server.endpoint().c_str());
   std::fflush(stdout);
@@ -283,15 +272,12 @@ int main(int argc, char** argv) {
               g_interrupted ? "signal received" : "shutdown op received");
 
   server.stop();         // graceful: in-flight requests finish
-  feedback.wait_idle();  // let a queued refit land before snapshotting
-  if (retrain_job) retrain_job->wait_idle();  // ...and a queued fine-tune
+  feedback.wait_idle();  // let a queued refit or fine-tune land first
   service.stop();        // then drain the admission queue
   if (!save_state_dir.empty()) {
     Stopwatch sw;
-    pddl.save_state(save_state_dir, [&](io::SnapshotWriter& s) {
-      feedback.save(s);
-      if (retrain_job) retrain_job->save(s);
-    });
+    pddl.save_state(save_state_dir,
+                    [&](io::SnapshotWriter& s) { feedback.save(s); });
     std::printf("state saved to %s in %.1fms\n", save_state_dir.c_str(),
                 sw.millis());
   }

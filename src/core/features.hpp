@@ -30,10 +30,10 @@ class FeatureBuilder {
   Vector build(const sim::Measurement& m);
 
   // Same layout, but with a caller-supplied embedding instead of the
-  // registry lookup.  The retrain job (src/retrain/) uses this to featurize
-  // campaign rows under a *candidate* GHN that is not registered yet, so
-  // the replacement regressor can be fitted entirely off to the side before
-  // the swap publishes either.
+  // registry lookup.  The feedback controller's refit rows use this to
+  // featurize campaign rows under a chosen GHN — for a fine-tune, a
+  // *candidate* that is not registered yet, so the replacement regressor can
+  // be fitted entirely off to the side before the swap publishes either.
   Vector build(const sim::Measurement& m, const Vector& embedding) const;
 
   // Features for an arbitrary computational graph that is not in the model

@@ -2,20 +2,105 @@
 
 #include <cmath>
 
+#include "ghn/infer.hpp"
 #include "graph/models.hpp"
-#include "regress/dataset.hpp"
 
 namespace pddl::feedback {
 
 namespace {
 constexpr const char* kObservationSection = "feedback/observations";
+constexpr const char* kRetrainStateSection = "retrain/state";
+constexpr char kRetrainStateMagic[4] = {'P', 'D', 'R', 'T'};
+constexpr std::uint32_t kRetrainStateVersion = 1;
+
+// Fine-tune schedule of a {fine-tune → refit} plan.  Shorter and gentler
+// than the offline TrainerConfig defaults: the clone resumes from converged
+// weights, so a few low-LR epochs move the embedding toward the new family
+// without forgetting the families the regressor was calibrated on.
+constexpr int kFineTuneEpochs = 6;
+constexpr std::size_t kFineTuneBatch = 8;
+constexpr double kFineTuneLearningRate = 1e-3;
+constexpr double kFineTuneClipNorm = 5.0;
+// Cap on observed graphs of the drifted family added to the corpus (newest
+// first); keeps one noisy family from dominating the fine-tune.
+constexpr std::size_t kMaxFamilyGraphs = 64;
 
 // Family id for the per-family decomposition; models outside both
 // registries (NAS candidates, ad-hoc graphs) pool under "custom".
 std::string family_of(const std::string& model) {
   return graph::has_model(model) ? graph::model_family(model) : "custom";
 }
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : s) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// Per-fine-tune seed: deterministic in (base seed, dataset, generation).  The
+// generation term keeps successive fine-tunes of one dataset from replaying
+// the same shuffle; reruns from the same snapshot replay generation too, so
+// the derived stream — and therefore the swapped weights — are bit-identical.
+std::uint64_t derive_seed(std::uint64_t base, const std::string& dataset,
+                          std::uint64_t generation) {
+  std::uint64_t h = base ^ fnv1a(dataset);
+  h ^= (generation + 1) * 0x9e3779b97f4a7c15ULL;
+  h ^= h >> 29;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 32;
+  return h;
+}
+
+// The one refit row builder: campaign measurements ⊕ accepted observations,
+// in that order, each embedded under `infer` (memoized by structural
+// fingerprint) and assembled through the engine's FeatureBuilder, so the
+// design matrix is column-compatible with live requests.
+regress::RegressionData build_rows(core::FeatureBuilder& fb,
+                                   const ghn::GhnInference& infer,
+                                   const std::vector<sim::Measurement>& campaign,
+                                   const std::vector<Observation>& observations) {
+  std::map<std::uint64_t, Vector> emb;
+  auto embed = [&](const graph::CompGraph& g) -> const Vector& {
+    const std::uint64_t fp = ghn::structural_fingerprint(g);
+    auto it = emb.find(fp);
+    if (it == emb.end()) it = emb.emplace(fp, infer.embedding(g)).first;
+    return it->second;
+  };
+  std::vector<Vector> rows;
+  Vector y;
+  rows.reserve(campaign.size() + observations.size());
+  y.reserve(rows.capacity());
+  for (const sim::Measurement& m : campaign) {
+    const workload::DatasetDescriptor ds = workload::dataset_by_name(m.dataset);
+    rows.push_back(
+        fb.build(m, embed(graph::build_model(m.model, ds.input,
+                                             ds.num_classes))));
+    y.push_back(m.time_s);
+  }
+  for (const Observation& obs : observations) {
+    const core::PredictRequest& r = obs.request;
+    rows.push_back(fb.assemble_features(embed(r.workload.build_graph()),
+                                        r.workload, r.cluster));
+    y.push_back(obs.measured_s);
+  }
+  regress::RegressionData data;
+  if (rows.empty()) return data;
+  data.x = Matrix(rows.size(), rows.front().size());
+  for (std::size_t i = 0; i < rows.size(); ++i) data.x.set_row(i, rows[i]);
+  data.y = std::move(y);
+  return data;
+}
 }  // namespace
+
+struct FeedbackController::FineTune {
+  std::unique_ptr<ghn::Ghn2> candidate;
+  std::uint64_t corpus_graphs = 0;
+  std::uint64_t family_graphs = 0;
+  ghn::TrainReport report;
+};
 
 FeedbackController::FeedbackController(serve::PredictionService& service,
                                        core::PredictDdl& engine,
@@ -70,127 +155,58 @@ ObserveOutcome FeedbackController::observe(const core::PredictRequest& req,
 
   const std::string& dataset = req.workload.dataset.name;
   const std::string family = family_of(req.workload.model);
-  bool fire_refit = false;
-  RetrainSink* fire_retrain = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++accepted_per_dataset_[dataset];
-    // Family window first: it feeds the ghn_drift decomposition but never
-    // triggers a refit on its own — refitting the regressor cannot fix a
-    // strained embedding; the signal asks for GHN retraining instead.
-    const auto family_key = std::make_pair(dataset, family);
-    ++accepted_per_family_[family_key];
-    auto fit = family_detectors_.find(family_key);
-    if (fit == family_detectors_.end()) {
-      fit = family_detectors_.emplace(family_key, DriftDetector(cfg_.drift))
-                .first;
-    }
-    const bool family_drifted =
-        fit->second.record(out.abs_error_s, out.rel_error);
-    if (family_drifted && ghn_drift_latched_.count(family_key) == 0) {
-      // Edge-triggered ghn_drift: this family's window just crossed (or is
-      // still across after its latch was cleared by a swap).  Run the
-      // decomposition — the same clean-peer majority rule status() reports —
-      // and fire the retrain signal at most once per crossing.  The latch
-      // clears when a swap resets the family windows, so a generation that
-      // did not actually help re-crosses and re-fires.
-      std::size_t clean_peers = 0;
-      std::size_t drifted_peers = 0;
-      for (const auto& [key, detector] : family_detectors_) {
-        if (key == family_key) continue;
-        const ErrorStats peer = detector.stats();
-        if (peer.count < cfg_.drift.min_count) continue;
-        if (peer.drifted) {
-          ++drifted_peers;
-        } else {
-          ++clean_peers;
-        }
-      }
-      if (drifted_peers == 0 || clean_peers >= drifted_peers) {
-        ghn_drift_latched_.insert(family_key);
-        out.ghn_drift = true;
-        service_.note_ghn_drift();
-        if (cfg_.auto_retrain && retrain_sink_ != nullptr) {
-          fire_retrain = retrain_sink_;
-        }
-      }
-    }
-    auto it = detectors_.find(dataset);
-    if (it == detectors_.end()) {
-      it = detectors_.emplace(dataset, DriftDetector(cfg_.drift)).first;
-    }
-    const bool was_drifted = it->second.drifted();
-    out.drifted = it->second.record(out.abs_error_s, out.rel_error);
-    if (out.drifted && !was_drifted) {
-      // Edge-triggered: one drift event (and at most one queued refit) per
-      // crossing.  The detector is reset after a successful refit, so a
-      // still-bad model re-crosses and re-triggers.
-      service_.note_drift();
-      if (cfg_.auto_refit && enqueue_refit_locked(dataset)) {
-        fire_refit = true;
-        out.refit_triggered = true;
-      }
-    }
-  }
-  if (fire_refit) cv_.notify_all();
-  if (fire_retrain != nullptr) {
-    // Outside the controller mutex: the sink enqueues onto its own worker
-    // and may call back into note_ghn_swap (which takes this mutex) from
-    // that worker at any time.
-    out.retrain_triggered = fire_retrain->request_retrain(dataset, family);
-  }
-  return out;
-}
-
-void FeedbackController::attach_retrain(RetrainSink* sink) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  retrain_sink_ = sink;
-}
-
-std::vector<FamilyFeedback> FeedbackController::note_ghn_swap(
-    const std::string& dataset) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return snapshot_and_reset_locked(dataset);
-}
-
-std::vector<FamilyFeedback> FeedbackController::snapshot_and_reset_locked(
-    const std::string& dataset) {
-  std::vector<FamilyFeedback> pre;
-  for (auto& [key, detector] : family_detectors_) {
-    if (key.first != dataset) continue;
-    FamilyFeedback f;
-    f.dataset = key.first;
-    f.family = key.second;
-    const auto it = accepted_per_family_.find(key);
-    f.observations = it == accepted_per_family_.end() ? 0 : it->second;
-    f.errors = detector.stats();
-    f.pre_swap = f.errors;  // by definition: this IS the pre-swap window
-    family_pre_swap_[key] = f.errors;
-    f.swaps = ++family_swaps_[key];
-    detector.reset();
-    ghn_drift_latched_.erase(key);
-    pre.push_back(std::move(f));
-  }
-  if (const auto it = detectors_.find(dataset); it != detectors_.end()) {
-    it->second.reset();
-  }
-  return pre;
-}
-
-bool FeedbackController::enqueue_refit_locked(const std::string& dataset) {
-  if (stopping_) return false;
-  auto [it, inserted] = refit_pending_.try_emplace(dataset, true);
-  if (!inserted && it->second) return false;  // already queued or running
-  it->second = true;
-  refit_queue_.push_back(dataset);
-  return true;
-}
-
-bool FeedbackController::request_refit(const std::string& dataset) {
   bool enqueued = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    enqueued = enqueue_refit_locked(dataset);
+    // Family window first: it feeds the ghn_drift decomposition but never
+    // triggers a refit on its own — refitting the regressor cannot fix a
+    // strained embedding; the signal asks for GHN retraining instead.
+    const Key key(dataset, family);
+    FamilyState& f = families_.try_emplace(key, cfg_.drift).first->second;
+    ++f.accepted;
+    if (f.window.record(out.abs_error_s, out.rel_error) && !f.latched &&
+        blames_ghn_locked(key)) {
+      // Edge-triggered ghn_drift: at most one retrain signal per crossing.
+      // The latch clears when a swap resets the family windows, so a
+      // generation that did not actually help re-crosses and re-fires.
+      f.latched = true;
+      out.ghn_drift = true;
+      service_.note_ghn_drift();
+      out.retrain_triggered =
+          cfg_.auto_retrain && enqueue_locked(dataset, family);
+    }
+    DatasetState& d = datasets_.try_emplace(dataset, cfg_.drift).first->second;
+    ++d.accepted;
+    const bool was_drifted = d.window.drifted();
+    out.drifted = d.window.record(out.abs_error_s, out.rel_error);
+    if (out.drifted && !was_drifted) {
+      // Edge-triggered: one drift event (and at most one queued refit) per
+      // crossing.  The window is reset after a successful refit, so a
+      // still-bad model re-crosses and re-triggers.
+      service_.note_drift();
+      out.refit_triggered = cfg_.auto_refit && enqueue_locked(dataset, "");
+    }
+    enqueued = out.retrain_triggered || out.refit_triggered;
+  }
+  if (enqueued) cv_.notify_all();
+  return out;
+}
+
+bool FeedbackController::enqueue_locked(const std::string& dataset,
+                                        const std::string& family) {
+  if (stopping_) return false;
+  Key plan(dataset, family);
+  if (!pending_.insert(plan).second) return false;  // queued or running
+  queue_.push_back(std::move(plan));
+  return true;
+}
+
+bool FeedbackController::request(const std::string& dataset,
+                                 const std::string& family) {
+  bool enqueued = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    enqueued = enqueue_locked(dataset, family);
   }
   if (enqueued) cv_.notify_all();
   return enqueued;
@@ -199,162 +215,268 @@ bool FeedbackController::request_refit(const std::string& dataset) {
 void FeedbackController::worker_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    cv_.wait(lock, [this] { return stopping_ || !refit_queue_.empty(); });
-    if (refit_queue_.empty()) {
-      if (stopping_) return;
-      continue;
-    }
-    const std::string dataset = refit_queue_.front();
-    refit_queue_.pop_front();
-    refit_in_progress_ = true;
-    ++refits_started_;
+    cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+    // Drain the queue even when stopping: a requested update is a promise
+    // (observe() latched a drift edge on it).
+    if (queue_.empty()) return;
+    const Key plan = std::move(queue_.front());
+    queue_.pop_front();
+    running_ = plan;
+    const bool retrain = !plan.second.empty();
+    ++(retrain ? retrain_.started : refit_.started);
     lock.unlock();
-    service_.note_refit_started();
-    do_refit(dataset);
+    retrain ? service_.note_retrain_started() : service_.note_refit_started();
+    bool ok = true;
+    try {
+      run_plan(plan);
+    } catch (const std::exception& e) {
+      ok = false;
+      std::lock_guard<std::mutex> failed(mutex_);
+      ++(retrain ? retrain_.failed : refit_.failed);
+      (retrain ? retrain_.last_error : refit_.last_error) =
+          (retrain ? "retrain of '" + plan.second + "' for '" : "refit for '") +
+          plan.first + "' failed: " + e.what();
+    }
+    retrain ? service_.note_retrain_finished(ok)
+            : service_.note_refit_finished(ok);
     lock.lock();
-    refit_in_progress_ = false;
-    refit_pending_[dataset] = false;
-    if (refit_queue_.empty()) idle_cv_.notify_all();
+    running_.reset();
+    pending_.erase(plan);
+    if (queue_.empty()) idle_cv_.notify_all();
   }
 }
 
-void FeedbackController::do_refit(const std::string& dataset) {
-  std::uint64_t campaign_rows = 0;
-  std::uint64_t observation_rows = 0;
-  try {
-    // Campaign rows: the measurement sweep the predictor was originally
-    // fitted on.  Observation rows: every accepted ground-truth record for
-    // this dataset still in the log, featurized through the same builder so
-    // the merged design matrix is column-compatible.
-    regress::RegressionData campaign;
-    const auto measurements = engine_.training_measurements(dataset);
-    if (!measurements.empty()) {
-      campaign = engine_.features().build_dataset(measurements);
+FeedbackController::FineTune FeedbackController::fine_tune(
+    const std::string& dataset, const std::string& family,
+    const std::vector<sim::Measurement>& campaign,
+    const std::vector<Observation>& observations) {
+  // Campaign graphs anchor what the GHN already knows; the drifted family's
+  // observed graphs carry what it is missing.  Dedup by structural
+  // fingerprint (several measurements share one architecture) and sort by
+  // it, so corpus order — and with it the seeded minibatch shuffle — is a
+  // pure function of the graph set, never of arrival order.  Graphs of
+  // *other* families are not fine-tuned on: their embeddings are what the
+  // clean peers validated.
+  std::map<std::uint64_t, graph::CompGraph> by_fp;
+  for (const sim::Measurement& m : campaign) {
+    const workload::DatasetDescriptor ds = workload::dataset_by_name(m.dataset);
+    graph::CompGraph g = graph::build_model(m.model, ds.input, ds.num_classes);
+    by_fp.emplace(ghn::structural_fingerprint(g), std::move(g));
+  }
+  FineTune out;
+  for (std::size_t r = observations.size(); r-- > 0;) {  // newest first
+    if (out.family_graphs >= kMaxFamilyGraphs) break;
+    const core::PredictRequest& req = observations[r].request;
+    if (family_of(req.workload.model) != family) continue;
+    graph::CompGraph g = req.workload.build_graph();
+    if (by_fp.emplace(ghn::structural_fingerprint(g), std::move(g)).second) {
+      ++out.family_graphs;
     }
-    campaign_rows = campaign.size();
+  }
+  std::vector<graph::CompGraph> corpus;
+  corpus.reserve(by_fp.size());
+  for (auto& [fp, g] : by_fp) corpus.push_back(std::move(g));
+  PDDL_CHECK(!corpus.empty(), "no graphs to fine-tune on");
+  out.corpus_graphs = corpus.size();
 
-    const std::vector<Observation> observations = log_.for_dataset(dataset);
-    regress::RegressionData observed;
-    if (!observations.empty()) {
-      Vector first = engine_.features().build(
-          observations.front().request.workload,
-          observations.front().request.cluster);
-      observed.x = Matrix(observations.size(), first.size());
-      observed.y.resize(observations.size());
-      observed.x.set_row(0, first);
-      observed.y[0] = observations.front().measured_s;
-      for (std::size_t i = 1; i < observations.size(); ++i) {
-        observed.x.set_row(i, engine_.features().build(
-                                  observations[i].request.workload,
-                                  observations[i].request.cluster));
-        observed.y[i] = observations[i].measured_s;
-      }
-    }
-    observation_rows = observed.size();
+  // Fine-tune a clone off to the side; the live GHN is untouched.
+  out.candidate = engine_.registry().clone_model(dataset);
+  PDDL_CHECK(out.candidate != nullptr, "no registered GHN");
+  ghn::TrainerConfig tc;
+  tc.epochs = kFineTuneEpochs;
+  tc.batch_size = kFineTuneBatch;
+  tc.learning_rate = kFineTuneLearningRate;
+  tc.clip_norm = kFineTuneClipNorm;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    tc.seed = derive_seed(cfg_.seed, dataset, retrain_.generation);
+  }
+  out.report = ghn::GhnTrainer(*out.candidate, tc, std::move(corpus))
+                   .train(engine_.pool());
+  return out;
+}
 
-    const regress::RegressionData merged = regress::merge(campaign, observed);
-    PDDL_CHECK(merged.size() > 0, "refit for '", dataset,
-               "': no campaign measurements and no observations");
+void FeedbackController::run_plan(const Key& plan) {
+  const std::string& dataset = plan.first;
+  const std::vector<sim::Measurement> campaign =
+      engine_.training_measurements(dataset);
+  const std::vector<Observation> observations = log_.for_dataset(dataset);
 
-    // Fit off to the side, publish atomically, then forget the old model's
-    // error window — in-flight predictions finish on the engine they
-    // resolved, nothing ever waits on the fit.
-    service_.swap_engine(dataset, engine_.fit_fresh_engine(merged));
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++refits_completed_;
-      last_dataset_ = dataset;
-      last_campaign_rows_ = campaign_rows;
-      last_observation_rows_ = observation_rows;
-      last_error_.clear();
-      // Snapshot each family window into pre_swap before the reset, so the
-      // improvement across this refit stays reportable (satellite of the
-      // retrain loop; the GHN swap path shares this helper).
-      snapshot_and_reset_locked(dataset);
-    }
-    service_.note_refit_finished(true);
-  } catch (const std::exception& e) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++refits_failed_;
-      last_error_ = "refit for '" + dataset + "' failed: " + e.what();
-    }
-    service_.note_refit_finished(false);
+  FineTune ft;
+  if (!plan.second.empty()) {
+    ft = fine_tune(dataset, plan.second, campaign, observations);
+  }
+  // Refit rows under the plan's GHN: the candidate, or the live one.
+  const std::shared_ptr<const ghn::GhnInference> infer =
+      ft.candidate ? std::make_shared<ghn::GhnInference>(*ft.candidate)
+                   : engine_.registry().inference(dataset);
+  const regress::RegressionData rows =
+      build_rows(engine_.features(), *infer, campaign, observations);
+  PDDL_CHECK(rows.size() > 0, "no campaign measurements and no observations");
+  auto fitted = engine_.fit_fresh_engine(rows);
+
+  // Publish atomically, then forget the old model's error windows —
+  // in-flight predictions finish on the engines they resolved; nothing ever
+  // waits on the fit.
+  if (ft.candidate) {
+    service_.swap_ghn(dataset, std::move(ft.candidate), std::move(fitted));
+  } else {
+    service_.swap_engine(dataset, std::move(fitted));
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  reset_windows_locked(dataset, /*ghn_swap=*/!plan.second.empty());
+  if (plan.second.empty()) {
+    ++refit_.completed;
+    refit_.last_dataset = dataset;
+    refit_.last_campaign_rows = campaign.size();
+    refit_.last_observation_rows = observations.size();
+    refit_.last_error.clear();
+    return;
+  }
+  ++retrain_.generation;
+  ++retrain_.completed;
+  retrain_.last_dataset = dataset;
+  retrain_.last_family = plan.second;
+  retrain_.last_error.clear();
+  retrain_.last_corpus_graphs = ft.corpus_graphs;
+  retrain_.last_family_graphs = ft.family_graphs;
+  retrain_.last_epochs_run = ft.report.epochs_run;
+  retrain_.last_train_seconds = ft.report.seconds;
+  retrain_.last_initial_loss =
+      ft.report.epoch_losses.empty() ? 0.0 : ft.report.epoch_losses.front();
+  retrain_.last_final_loss = ft.report.final_loss;
+}
+
+bool FeedbackController::blames_ghn_locked(const Key& key) const {
+  // A family whose window drifted against a mostly-clean background of other
+  // scored families is embedding strain, not regressor/cluster drift.  A
+  // board-wide shift (more drifted peers than clean ones) points at the
+  // shared model instead and stays with the ordinary refit path.
+  std::size_t clean_peers = 0;
+  std::size_t drifted_peers = 0;
+  for (const auto& [peer, f] : families_) {
+    if (peer == key) continue;
+    const ErrorStats s = f.window.stats();
+    if (s.count < cfg_.drift.min_count) continue;
+    ++(s.drifted ? drifted_peers : clean_peers);
+  }
+  return drifted_peers == 0 || clean_peers >= drifted_peers;
+}
+
+void FeedbackController::reset_windows_locked(const std::string& dataset,
+                                              bool ghn_swap) {
+  for (auto& [key, f] : families_) {
+    if (key.first != dataset) continue;
+    f.pre_swap = f.window.stats();
+    if (ghn_swap) before_errors_[key] = f.pre_swap;
+    ++f.swaps;
+    f.window.reset();
+    f.latched = false;
+  }
+  if (const auto it = datasets_.find(dataset); it != datasets_.end()) {
+    it->second.window.reset();
   }
 }
 
 RefitStatus FeedbackController::status() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  RefitStatus s;
-  s.started = refits_started_;
-  s.completed = refits_completed_;
-  s.failed = refits_failed_;
-  s.in_progress = refit_in_progress_;
-  s.queued = refit_queue_.size();
-  s.last_dataset = last_dataset_;
-  s.last_campaign_rows = last_campaign_rows_;
-  s.last_observation_rows = last_observation_rows_;
-  s.last_error = last_error_;
-  for (const auto& [dataset, detector] : detectors_) {
-    DatasetFeedback d;
-    d.dataset = dataset;
-    const auto it = accepted_per_dataset_.find(dataset);
-    d.observations = it == accepted_per_dataset_.end() ? 0 : it->second;
-    d.errors = detector.stats();
-    s.datasets.push_back(std::move(d));
+  RefitStatus s = refit_;
+  s.in_progress = running_ && running_->second.empty();
+  for (const Key& p : queue_) s.queued += p.second.empty();
+  for (const auto& [dataset, d] : datasets_) {
+    s.datasets.push_back({dataset, d.accepted, d.window.stats()});
   }
-  for (const auto& [key, detector] : family_detectors_) {
-    FamilyFeedback f;
-    f.dataset = key.first;
-    f.family = key.second;
-    const auto it = accepted_per_family_.find(key);
-    f.observations = it == accepted_per_family_.end() ? 0 : it->second;
-    f.errors = detector.stats();
-    if (const auto pit = family_pre_swap_.find(key);
-        pit != family_pre_swap_.end()) {
-      f.pre_swap = pit->second;
-    }
-    if (const auto sit = family_swaps_.find(key);
-        sit != family_swaps_.end()) {
-      f.swaps = sit->second;
-    }
-    s.families.push_back(std::move(f));
+  for (const auto& [key, f] : families_) {
+    const ErrorStats errors = f.window.stats();
+    s.families.push_back({key.first, key.second, f.accepted, errors,
+                          errors.drifted && blames_ghn_locked(key), f.pre_swap,
+                          f.swaps});
   }
-  // "Retrain the GHN" decomposition: a family whose window drifted against
-  // a mostly-clean background of other scored families is embedding strain,
-  // not regressor/cluster drift.  A board-wide shift (more drifted peers
-  // than clean ones) points at the shared model instead and stays with the
-  // ordinary refit path.
-  for (FamilyFeedback& f : s.families) {
-    if (!f.errors.drifted) continue;
-    std::size_t clean_peers = 0;
-    std::size_t drifted_peers = 0;
-    for (const FamilyFeedback& other : s.families) {
-      if (&other == &f) continue;
-      if (other.errors.count < cfg_.drift.min_count) continue;
-      if (other.errors.drifted) {
-        ++drifted_peers;
-      } else {
-        ++clean_peers;
-      }
+  return s;
+}
+
+RetrainStatus FeedbackController::retrain_status() const {
+  RetrainStatus s;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    s = retrain_;
+    s.in_progress = running_ && !running_->second.empty();
+    for (const Key& p : queue_) s.queued += !p.second.empty();
+    // Pair every before-snapshot with the family's current window.
+    for (const auto& [key, before] : before_errors_) {
+      const auto it = families_.find(key);
+      s.families.push_back(
+          {key.first, key.second, before,
+           it == families_.end() ? ErrorStats{} : it->second.window.stats()});
     }
-    f.ghn_drift = drifted_peers == 0 || clean_peers >= drifted_peers;
+  }
+  if (!s.last_dataset.empty()) {
+    s.live_checksum = engine_.registry().model_checksum(s.last_dataset);
   }
   return s;
 }
 
 void FeedbackController::wait_idle() {
   std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] {
-    return refit_queue_.empty() && !refit_in_progress_;
-  });
+  idle_cv_.wait(lock, [this] { return queue_.empty() && !running_; });
 }
 
 void FeedbackController::save(io::SnapshotWriter& snap) const {
   log_.save(snap.add(kObservationSection));
+  std::lock_guard<std::mutex> lock(mutex_);
+  io::BinaryWriter& w = snap.add(kRetrainStateSection);
+  w.magic(kRetrainStateMagic);
+  w.u32(kRetrainStateVersion);
+  w.u64(retrain_.generation);
+  w.u64(retrain_.started);
+  w.u64(retrain_.completed);
+  w.u64(retrain_.failed);
+  w.str(retrain_.last_dataset);
+  w.str(retrain_.last_family);
+  w.str(retrain_.last_error);
+  w.u64(retrain_.last_corpus_graphs);
+  w.u64(retrain_.last_family_graphs);
+  w.i32(retrain_.last_epochs_run);
+  w.f64(retrain_.last_train_seconds);
+  w.f64(retrain_.last_initial_loss);
+  w.f64(retrain_.last_final_loss);
+  w.u32(static_cast<std::uint32_t>(before_errors_.size()));
+  for (const auto& [key, stats] : before_errors_) {
+    w.str(key.first);
+    w.str(key.second);
+    write_error_stats(w, stats);
+  }
 }
 
 std::size_t FeedbackController::load(const io::SnapshotReader& snap) {
+  if (snap.has(kRetrainStateSection)) {
+    io::BinaryReader r = snap.reader(kRetrainStateSection);
+    r.expect_magic(kRetrainStateMagic, "retrain state");
+    const std::uint32_t version = r.u32();
+    PDDL_CHECK(version == kRetrainStateVersion,
+               "retrain state: unsupported version " + std::to_string(version));
+    std::lock_guard<std::mutex> lock(mutex_);
+    retrain_.generation = r.u64();
+    retrain_.started = r.u64();
+    retrain_.completed = r.u64();
+    retrain_.failed = r.u64();
+    retrain_.last_dataset = r.str();
+    retrain_.last_family = r.str();
+    retrain_.last_error = r.str();
+    retrain_.last_corpus_graphs = r.u64();
+    retrain_.last_family_graphs = r.u64();
+    retrain_.last_epochs_run = r.i32();
+    retrain_.last_train_seconds = r.f64();
+    retrain_.last_initial_loss = r.f64();
+    retrain_.last_final_loss = r.f64();
+    before_errors_.clear();
+    const std::uint32_t n = r.u32();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      std::string ds = r.str();
+      Key key(std::move(ds), r.str());
+      before_errors_[std::move(key)] = read_error_stats(r);
+    }
+  }
   if (!snap.has(kObservationSection)) return 0;
   io::BinaryReader r = snap.reader(kObservationSection);
   log_.load(r);

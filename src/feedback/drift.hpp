@@ -15,6 +15,8 @@
 #include <cstddef>
 #include <deque>
 
+#include "io/binary.hpp"
+
 namespace pddl::feedback {
 
 struct DriftConfig {
@@ -34,6 +36,11 @@ struct ErrorStats {
   double p95_rel = 0.0;
   bool drifted = false;
 };
+
+// The one ErrorStats codec, shared by the rpc status ops and the
+// "retrain/state" snapshot section: every field, in declaration order.
+void write_error_stats(io::BinaryWriter& w, const ErrorStats& s);
+ErrorStats read_error_stats(io::BinaryReader& r);
 
 class DriftDetector {
  public:

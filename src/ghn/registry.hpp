@@ -76,8 +76,8 @@ class GhnRegistry {
 
   // Deep copy of the registered GHN via a save_ghn/load_ghn round-trip,
   // taken under the registry lock so the copy is a consistent snapshot even
-  // against a concurrent put().  This is the fine-tune entry point for
-  // src/retrain/: train the clone off to the side, then put() it back.
+  // against a concurrent put().  This is the fine-tune entry point of the
+  // feedback controller: train the clone off to the side, then put() it back.
   // Returns nullptr when no GHN is registered for `dataset`.
   std::unique_ptr<Ghn2> clone_model(const std::string& dataset) const;
 

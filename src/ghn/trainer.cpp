@@ -106,7 +106,7 @@ double GhnTrainer::graph_loss_and_grads(const CompGraph& g,
   return loss_val;
 }
 
-TrainReport GhnTrainer::train(ThreadPool& pool, double time_budget_s) {
+TrainReport GhnTrainer::train(ThreadPool& pool) {
   const auto t0 = std::chrono::steady_clock::now();
   ag::Adam opt(cfg_.learning_rate);
   opt.register_params(params_);
@@ -148,14 +148,6 @@ TrainReport GhnTrainer::train(ThreadPool& pool, double time_budget_s) {
     report.epoch_losses.push_back(epoch_loss /
                                   static_cast<double>(corpus_.size()));
     ++report.epochs_run;
-    if (time_budget_s > 0.0) {
-      const double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      // Stop only at an epoch boundary: partial epochs would make the
-      // trained weights depend on wall-clock timing mid-epoch.
-      if (elapsed >= time_budget_s) break;
-    }
   }
   report.final_loss = report.epoch_losses.empty()
                           ? 0.0

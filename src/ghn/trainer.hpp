@@ -33,7 +33,7 @@ struct TrainerConfig {
 struct TrainReport {
   std::vector<double> epoch_losses;  // mean multi-task MSE per epoch
   double final_loss = 0.0;
-  int epochs_run = 0;       // < cfg.epochs when a time budget cut training
+  int epochs_run = 0;       // epochs completed (cfg.epochs)
   double seconds = 0.0;     // wall-clock spent inside train()
 };
 
@@ -54,18 +54,15 @@ class GhnTrainer {
   // Target standardization is fitted on `corpus`, so the multi-task loss is
   // well-conditioned for whatever graph mixture the caller assembled; the
   // GHN itself is trained in place, i.e. this resumes from the live weights
-  // rather than re-initialising (src/retrain/ relies on that).
+  // rather than re-initialising (the feedback controller's fine-tune relies
+  // on that).
   GhnTrainer(Ghn2& ghn, const TrainerConfig& cfg,
              std::vector<graph::CompGraph> corpus);
 
-  // Trains in place; gradient evaluation over a minibatch is parallelised on
-  // `pool` (one tape per graph, summed gradients).  A positive
-  // `time_budget_s` stops at the first epoch boundary past the budget
-  // (always completing at least one epoch); epochs consumed are reported in
-  // TrainReport::epochs_run.  The budget only affects *how many* epochs run,
-  // never the arithmetic within one, so a run is bit-reproducible from
-  // (weights, corpus, seed, epochs_run).
-  TrainReport train(ThreadPool& pool, double time_budget_s = 0.0);
+  // Trains in place for cfg.epochs epochs; gradient evaluation over a
+  // minibatch is parallelised on `pool` (one tape per graph, summed
+  // gradients).  A run is bit-reproducible from (weights, corpus, seed).
+  TrainReport train(ThreadPool& pool);
 
   // Mean multi-task MSE of the (trained) GHN+head on held-out graphs.
   double evaluate(const std::vector<graph::CompGraph>& graphs);

@@ -108,7 +108,7 @@ bool Client::request_retrain(const std::string& dataset,
   return call(r).retrain_started;
 }
 
-retrain::RetrainStatus Client::retrain_status() {
+feedback::RetrainStatus Client::retrain_status() {
   Request r;
   r.op = Op::kRetrainStatus;
   return call(r).retrain;

@@ -68,7 +68,7 @@ class Client {
 
   // Retrain-loop status: GHN generation, last fine-tune summary, and the
   // per-family before/after error deltas.
-  retrain::RetrainStatus retrain_status();
+  feedback::RetrainStatus retrain_status();
 
   // Round-trip time of an empty frame, in milliseconds.
   double ping();

@@ -125,6 +125,13 @@ bool Server::send_response(const Socket& sock, const Response& resp) {
 Response Server::execute(Request& req) {
   Response resp;
   resp.op = req.op;
+  const bool update_op =
+      req.op >= Op::kObserve && req.op <= Op::kRetrainStatus;
+  if (update_op && feedback_ == nullptr) {
+    resp.status = RpcStatus::kBadRequest;
+    resp.message = "model updates are not enabled on this server";
+    return resp;
+  }
   switch (req.op) {
     case Op::kPing:
       break;
@@ -155,19 +162,9 @@ Response Server::execute(Request& req) {
       resp.stats = metrics();
       break;
     case Op::kObserve:
-      if (feedback_ == nullptr) {
-        resp.status = RpcStatus::kBadRequest;
-        resp.message = "feedback ingestion is not enabled on this server";
-        break;
-      }
       resp.observe = feedback_->observe(req.reqs.front(), req.measured_s);
       break;
     case Op::kRefit:
-      if (feedback_ == nullptr) {
-        resp.status = RpcStatus::kBadRequest;
-        resp.message = "feedback ingestion is not enabled on this server";
-        break;
-      }
       if (req.dataset.empty()) {
         resp.status = RpcStatus::kBadRequest;
         resp.message = "refit needs a dataset name";
@@ -176,33 +173,18 @@ Response Server::execute(Request& req) {
       resp.refit_started = feedback_->request_refit(req.dataset);
       break;
     case Op::kRefitStatus:
-      if (feedback_ == nullptr) {
-        resp.status = RpcStatus::kBadRequest;
-        resp.message = "feedback ingestion is not enabled on this server";
-        break;
-      }
       resp.refit = feedback_->status();
       break;
     case Op::kRetrain:
-      if (retrain_ == nullptr) {
-        resp.status = RpcStatus::kBadRequest;
-        resp.message = "ghn retraining is not enabled on this server";
-        break;
-      }
       if (req.dataset.empty() || req.family.empty()) {
         resp.status = RpcStatus::kBadRequest;
         resp.message = "retrain needs a dataset and a model family";
         break;
       }
-      resp.retrain_started = retrain_->request_retrain(req.dataset, req.family);
+      resp.retrain_started = feedback_->request_retrain(req.dataset, req.family);
       break;
     case Op::kRetrainStatus:
-      if (retrain_ == nullptr) {
-        resp.status = RpcStatus::kBadRequest;
-        resp.message = "ghn retraining is not enabled on this server";
-        break;
-      }
-      resp.retrain = retrain_->status();
+      resp.retrain = feedback_->retrain_status();
       break;
     case Op::kShutdown:
       shutdown_requested_.store(true, std::memory_order_release);

@@ -53,20 +53,13 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Enables the feedback ops (observe / refit / refit_status) by routing
-  // them to `feedback`, which must outlive the server.  Call before
-  // start(); without a controller the feedback ops answer kBadRequest.
+  // Enables the model-update ops (observe / refit / refit_status / retrain /
+  // retrain_status) by routing them to `feedback`, which must outlive the
+  // server.  Call before start(); without a controller those ops answer
+  // kBadRequest.
   void attach_feedback(feedback::FeedbackController* feedback) {
     PDDL_CHECK(!running(), "attach_feedback must precede start()");
     feedback_ = feedback;
-  }
-
-  // Enables the retrain ops (retrain / retrain_status) by routing them to
-  // `retrain`, which must outlive the server.  Call before start(); without
-  // a trainer job the retrain ops answer kBadRequest.
-  void attach_retrain(retrain::GhnTrainerJob* retrain) {
-    PDDL_CHECK(!running(), "attach_retrain must precede start()");
-    retrain_ = retrain;
   }
 
   // Binds, listens, and starts accepting.  Throws pddl::Error if the
@@ -113,7 +106,6 @@ class Server {
 
   serve::PredictionService& service_;
   feedback::FeedbackController* feedback_ = nullptr;  // optional, not owned
-  retrain::GhnTrainerJob* retrain_ = nullptr;         // optional, not owned
   ServerConfig cfg_;
   std::uint16_t port_ = 0;
 

@@ -215,32 +215,6 @@ feedback::ObserveOutcome read_observe_outcome(io::BinaryReader& r) {
   return o;
 }
 
-namespace {
-void write_error_stats(io::BinaryWriter& w, const feedback::ErrorStats& s) {
-  w.u64(s.count);
-  w.f64(s.mean_abs_s);
-  w.f64(s.mean_rel);
-  w.f64(s.p50_abs_s);
-  w.f64(s.p95_abs_s);
-  w.f64(s.p50_rel);
-  w.f64(s.p95_rel);
-  w.boolean(s.drifted);
-}
-
-feedback::ErrorStats read_error_stats(io::BinaryReader& r) {
-  feedback::ErrorStats s;
-  s.count = r.u64();
-  s.mean_abs_s = r.f64();
-  s.mean_rel = r.f64();
-  s.p50_abs_s = r.f64();
-  s.p95_abs_s = r.f64();
-  s.p50_rel = r.f64();
-  s.p95_rel = r.f64();
-  s.drifted = r.boolean();
-  return s;
-}
-}  // namespace
-
 void write_refit_status(io::BinaryWriter& w, const feedback::RefitStatus& s) {
   w.u64(s.started);
   w.u64(s.completed);
@@ -255,16 +229,16 @@ void write_refit_status(io::BinaryWriter& w, const feedback::RefitStatus& s) {
   for (const feedback::DatasetFeedback& d : s.datasets) {
     w.str(d.dataset);
     w.u64(d.observations);
-    write_error_stats(w, d.errors);
+    feedback::write_error_stats(w, d.errors);
   }
   w.u32(static_cast<std::uint32_t>(s.families.size()));
   for (const feedback::FamilyFeedback& f : s.families) {
     w.str(f.dataset);
     w.str(f.family);
     w.u64(f.observations);
-    write_error_stats(w, f.errors);
+    feedback::write_error_stats(w, f.errors);
     w.boolean(f.ghn_drift);
-    write_error_stats(w, f.pre_swap);
+    feedback::write_error_stats(w, f.pre_swap);
     w.u64(f.swaps);
   }
 }
@@ -287,7 +261,7 @@ feedback::RefitStatus read_refit_status(io::BinaryReader& r) {
     feedback::DatasetFeedback d;
     d.dataset = r.str();
     d.observations = r.u64();
-    d.errors = read_error_stats(r);
+    d.errors = feedback::read_error_stats(r);
     s.datasets.push_back(std::move(d));
   }
   const std::uint32_t nf = r.u32();
@@ -298,9 +272,9 @@ feedback::RefitStatus read_refit_status(io::BinaryReader& r) {
     f.dataset = r.str();
     f.family = r.str();
     f.observations = r.u64();
-    f.errors = read_error_stats(r);
+    f.errors = feedback::read_error_stats(r);
     f.ghn_drift = r.boolean();
-    f.pre_swap = read_error_stats(r);
+    f.pre_swap = feedback::read_error_stats(r);
     f.swaps = r.u64();
     s.families.push_back(std::move(f));
   }
@@ -308,7 +282,7 @@ feedback::RefitStatus read_refit_status(io::BinaryReader& r) {
 }
 
 void write_retrain_status(io::BinaryWriter& w,
-                          const retrain::RetrainStatus& s) {
+                          const feedback::RetrainStatus& s) {
   w.u64(s.generation);
   w.u64(s.started);
   w.u64(s.completed);
@@ -326,16 +300,16 @@ void write_retrain_status(io::BinaryWriter& w,
   w.f64(s.last_final_loss);
   w.u64(s.live_checksum);
   w.u32(static_cast<std::uint32_t>(s.families.size()));
-  for (const retrain::FamilyErrorDelta& d : s.families) {
+  for (const feedback::FamilyErrorDelta& d : s.families) {
     w.str(d.dataset);
     w.str(d.family);
-    write_error_stats(w, d.before);
-    write_error_stats(w, d.after);
+    feedback::write_error_stats(w, d.before);
+    feedback::write_error_stats(w, d.after);
   }
 }
 
-retrain::RetrainStatus read_retrain_status(io::BinaryReader& r) {
-  retrain::RetrainStatus s;
+feedback::RetrainStatus read_retrain_status(io::BinaryReader& r) {
+  feedback::RetrainStatus s;
   s.generation = r.u64();
   s.started = r.u64();
   s.completed = r.u64();
@@ -356,11 +330,11 @@ retrain::RetrainStatus read_retrain_status(io::BinaryReader& r) {
   PDDL_CHECK(n <= 4096, r.what(), ": unreasonable family count ", n);
   s.families.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    retrain::FamilyErrorDelta d;
+    feedback::FamilyErrorDelta d;
     d.dataset = r.str();
     d.family = r.str();
-    d.before = read_error_stats(r);
-    d.after = read_error_stats(r);
+    d.before = feedback::read_error_stats(r);
+    d.after = feedback::read_error_stats(r);
     s.families.push_back(std::move(d));
   }
   return s;

@@ -52,7 +52,6 @@
 
 #include "core/predict_io.hpp"
 #include "feedback/controller.hpp"
-#include "retrain/trainer_job.hpp"
 #include "serve/service.hpp"
 
 namespace pddl::rpc {
@@ -158,7 +157,7 @@ struct Response {
   bool refit_started = false;               // kRefit with status kOk
   feedback::RefitStatus refit;              // kRefitStatus with status kOk
   bool retrain_started = false;             // kRetrain with status kOk
-  retrain::RetrainStatus retrain;           // kRetrainStatus with status kOk
+  feedback::RetrainStatus retrain;           // kRetrainStatus with status kOk
 };
 
 std::string encode_request(const Request& req);
@@ -185,7 +184,7 @@ feedback::ObserveOutcome read_observe_outcome(io::BinaryReader& r);
 void write_refit_status(io::BinaryWriter& w, const feedback::RefitStatus& s);
 feedback::RefitStatus read_refit_status(io::BinaryReader& r);
 
-void write_retrain_status(io::BinaryWriter& w, const retrain::RetrainStatus& s);
-retrain::RetrainStatus read_retrain_status(io::BinaryReader& r);
+void write_retrain_status(io::BinaryWriter& w, const feedback::RetrainStatus& s);
+feedback::RetrainStatus read_retrain_status(io::BinaryReader& r);
 
 }  // namespace pddl::rpc

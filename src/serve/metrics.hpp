@@ -151,8 +151,8 @@ struct MetricsSnapshot {
   std::uint64_t refits_failed = 0;
   std::uint64_t engine_swaps = 0;           // hot-swapped engines installed
 
-  // ---- GHN retrain loop (src/retrain/; zero until a GhnTrainerJob is
-  // attached and a ghn_drift edge fires) ----
+  // ---- GHN fine-tune plans (src/feedback/; retrains stay zero until one
+  // is requested, by an rpc op or by a ghn_drift edge with auto_retrain) ----
   std::uint64_t ghn_drift_events = 0;   // edge-triggered ghn_drift crossings
   std::uint64_t retrains_started = 0;
   std::uint64_t retrains_completed = 0;

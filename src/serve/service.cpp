@@ -620,7 +620,7 @@ void PredictionService::swap_ghn(
     const std::string& dataset, std::unique_ptr<ghn::Ghn2> ghn,
     std::shared_ptr<core::InferenceEngine> engine) {
   PDDL_CHECK(ghn != nullptr, "swap_ghn: null GHN");
-  // Ordering matters (DESIGN.md §14):
+  // Ordering matters (DESIGN.md §9):
   //   1. registry put — the new checksum is live; every later dequeue
   //      resolves the new inference engine and keys cache/reuse by it.
   //   2. purge the serve cache — old-generation embeddings leave in bulk.

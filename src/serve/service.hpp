@@ -171,7 +171,7 @@ class PredictionService {
   void swap_engine(const std::string& dataset,
                    std::shared_ptr<core::InferenceEngine> engine);
 
-  // ---- retrain hot-swap (src/retrain/) ----
+  // ---- retrain hot-swap (src/feedback/ fine-tune plans) ----
   // Atomically replaces the dataset's GHN generation and (when non-null) the
   // regressor fitted on the new embeddings, then invalidates every embedding
   // derived from the old generation: registry put (clears the registry memo
@@ -188,7 +188,7 @@ class PredictionService {
   void note_drift();
   void note_refit_started();
   void note_refit_finished(bool ok);
-  // Same, for the GHN retrain loop (src/retrain/).
+  // Same, for GHN fine-tune plans.
   void note_ghn_drift();
   void note_retrain_started();
   void note_retrain_finished(bool ok);

@@ -252,7 +252,7 @@ TEST(Wire, RetrainRequestAndStatusRoundTrip) {
   status.retrain.last_initial_loss = 0.9;
   status.retrain.last_final_loss = 0.3;
   status.retrain.live_checksum = 0xdeadbeefcafe1234ULL;
-  retrain::FamilyErrorDelta d;
+  feedback::FamilyErrorDelta d;
   d.dataset = "wikitext103";
   d.family = "bert";
   d.before.count = 4;
@@ -1107,23 +1107,21 @@ TEST_F(RpcLoopbackTest, ObserveDriftRefitShiftsRemotePredictions) {
 }
 
 // An explicit retrain over the wire fine-tunes + hot-swaps the dataset's
-// GHN and the status op reports the completed generation remotely.
+// GHN on a server with only a controller attached (auto_retrain off), and
+// the status op reports the completed generation remotely.
 TEST_F(RpcLoopbackTest, RetrainOverTheWireSwapsGhnGeneration) {
   serve::PredictionService service(*pddl_);
   feedback::FeedbackController fb(service, *pddl_);
-  retrain::GhnTrainerJob job(service, *pddl_, fb);
-  fb.attach_retrain(&job);
   Server server(service);
   server.attach_feedback(&fb);
-  server.attach_retrain(&job);
   server.start();
   Client client("127.0.0.1", server.port());
 
   const std::uint64_t before = pddl_->registry().model_checksum("cifar10");
   EXPECT_TRUE(client.request_retrain("cifar10", "resnet"));
-  job.wait_idle();
+  fb.wait_idle();
 
-  const retrain::RetrainStatus status = client.retrain_status();
+  const feedback::RetrainStatus status = client.retrain_status();
   EXPECT_EQ(status.generation, 1u);
   EXPECT_EQ(status.completed, 1u);
   EXPECT_EQ(status.failed, 0u);
