@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include "ghn/ghn2.hpp"
@@ -10,6 +11,7 @@
 #include "graph/builder.hpp"
 #include "graph/darts.hpp"
 #include "graph/models.hpp"
+#include "workload/workload.hpp"
 
 namespace pddl::ghn {
 namespace {
@@ -305,6 +307,56 @@ TEST(Registry, TrainAndRegisterProducesUsableModel) {
   EXPECT_NE(reg.model("tiny_imagenet"), nullptr);
   Vector e = reg.embedding("tiny_imagenet", tiny_graph());
   EXPECT_EQ(e.size(), 16u);
+}
+
+// FNV-1a (64-bit) over the bit patterns of a vector of doubles.
+std::uint64_t fnv1a_bits(const Vector& v) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (double x : v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &x, sizeof bits);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (bits >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(Trainer, GoldenTrainedChecksumsStayPinned) {
+  // Golden fixture recorded once: the trained GHN of each dataset at a small
+  // fixed-seed config (the PredictDdl::ensure_ghn recipe: a DARTS corpus at
+  // the dataset's resolution and class count, default GhnConfig), plus the
+  // f64 embedding of resnet18 under the cifar10 GHN.  Training is meant to
+  // be bit-reproducible at every kernel dispatch level, so every literal is
+  // exact; a change to the training tape that moves one changed the
+  // arithmetic, not just its speed.
+  struct Golden {
+    const char* dataset;
+    std::uint64_t checksum;
+  };
+  const std::vector<Golden> golden = {
+      {"cifar10", 0x157b030aff94a0b2ull},
+      {"tiny_imagenet", 0xbe51320f18576cbfull},
+      {"wikitext103", 0x25e49e4f93c5c2cdull},
+  };
+  GhnRegistry reg;
+  ThreadPool pool(4);
+  for (const Golden& g : golden) {
+    const workload::DatasetDescriptor ds = workload::dataset_by_name(g.dataset);
+    TrainerConfig tc;
+    tc.corpus_size = 8;
+    tc.epochs = 3;
+    tc.seed = 1;
+    tc.darts.input = ds.input;
+    tc.darts.num_classes = ds.num_classes;
+    reg.train_and_register(g.dataset, GhnConfig{}, tc, pool);
+    EXPECT_EQ(reg.model_checksum(g.dataset), g.checksum) << g.dataset;
+  }
+  const Vector e = reg.embedding(
+      "cifar10", graph::build_model("resnet18", {3, 32, 32}, 10));
+  ASSERT_EQ(e.size(), 32u);
+  EXPECT_EQ(fnv1a_bits(e), 0x0e370c73ddac60fdull);
 }
 
 class PassesProperty : public ::testing::TestWithParam<int> {};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "core/features.hpp"
 #include "regress/dataset.hpp"
@@ -303,6 +304,49 @@ TEST(PolynomialFold, LogTargetMatchesExpandedOracleOnFig09Campaign) {
     EXPECT_THROW(model.predict(Vector(data.num_features() - 1, 1.0)), Error);
     EXPECT_THROW(model.predict(Vector(data.num_features() + 1, 1.0)), Error);
   }
+}
+
+// FNV-1a (64-bit) over the bit patterns of a vector of doubles.
+std::uint64_t fnv1a_bits(const Vector& v) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (double x : v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &x, sizeof bits);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (bits >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(PolynomialFold, GoldenRidgeCoefficientsStayPinned) {
+  // Golden fixture recorded once: the ridge fit behind the paper's
+  // log-target polynomial regressor (LinearRegression, lambda 1e-3, on the
+  // degree-2 expansion of the logged fig09 cifar10 training split, untrained
+  // seed-1 GHN).  The Gram matrix and the Cholesky solve are meant to be
+  // bit-reproducible at every kernel dispatch level, so the digest of the
+  // coefficient bits is exact.
+  ThreadPool pool(4);
+  sim::DdlSimulator simulator;
+  const auto all = sim::run_campaign(simulator, sim::CampaignConfig{}, pool);
+  ghn::GhnRegistry registry;
+  core::FeatureBuilder features(registry);
+  Rng rng(1);
+  registry.put("cifar10", std::make_unique<ghn::Ghn2>(ghn::GhnConfig{}, rng));
+  const RegressionData data =
+      features.build_dataset(sim::filter_by_dataset(all, "cifar10"));
+  const auto split = train_test_split(data, 0.8, 2023);
+  RegressionData logged{polynomial_expand(split.train.x, true),
+                        Vector(split.train.size())};
+  for (std::size_t i = 0; i < logged.y.size(); ++i) {
+    logged.y[i] = std::log(split.train.y[i]);
+  }
+  LinearRegression lr(1e-3);
+  lr.fit(logged);
+  ASSERT_EQ(lr.coefficients().size(), 1325u);
+  EXPECT_EQ(fnv1a_bits(lr.coefficients()), 0x3d585e00d82c4cd6ull);
+  EXPECT_EQ(lr.intercept(), 4.5735512716418638);
 }
 
 TEST(SvrRbf, FitsQuadraticWithinTube) {
