@@ -14,6 +14,8 @@
 #include "core/features.hpp"
 #include "ghn/ghn2.hpp"
 #include "ghn/infer.hpp"
+#include "ghn/trainer.hpp"
+#include "graph/darts.hpp"
 #include "graph/models.hpp"
 #include "io/binary.hpp"
 #include "regress/linear.hpp"
@@ -118,6 +120,32 @@ void BM_Embed_Fast(benchmark::State& state) {
   state.SetLabel(g.name() + " (" + std::to_string(g.num_nodes()) + " nodes)");
 }
 BENCHMARK(BM_Embed_Fast)->DenseRange(0, kNumEmbedModels - 1);
+
+// One GHN training step on one graph: the work GhnTrainer runs per corpus
+// graph (tape forward through the GHN and the complexity head, MSE loss,
+// reverse sweep, one gradient per parameter).  A seeded DARTS graph at the
+// CIFAR-10 resolution, default GhnConfig, as in the offline stand-up.
+void BM_GhnTrainStep(benchmark::State& state) {
+  Rng rng(8);
+  ghn::Ghn2 ghn(ghn::GhnConfig{}, rng);
+  nn::Linear head(ghn.config().hidden_dim, ghn::kNumTargets, rng);
+  std::vector<Matrix*> params = ghn.parameters();
+  for (Matrix* p : head.parameters()) params.push_back(p);
+  const graph::CompGraph g = graph::sample_darts_corpus(1, 8, {}).front();
+  const Matrix target = Matrix::row_vector(ghn::complexity_targets(g));
+  std::vector<Matrix> grads;
+  for (auto _ : state) {
+    nn::Ctx ctx;
+    ag::Var pred = head.forward(ctx, ghn.embed(ctx, g));
+    ag::Var loss = ag::mse(pred, ctx.constant(target));
+    ctx.backward(loss);
+    grads.clear();
+    for (Matrix* p : params) grads.push_back(ctx.grad(*p));
+    benchmark::DoNotOptimize(grads.data());
+  }
+  state.SetLabel(std::to_string(g.num_nodes()) + " nodes");
+}
+BENCHMARK(BM_GhnTrainStep)->Unit(benchmark::kMillisecond);
 
 // One reuse-index probe against a full dataset partition (the default
 // ReuseConfig::max_entries = 4096), to read next to BM_Embed_Fast: the
@@ -235,6 +263,26 @@ void BM_PolyFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PolyFit)->Arg(500)->Arg(2000);
+
+// The stand-up ridge fit at its real shape: the paper's log-target
+// degree-2 regressor on 1240 rows of 50 features, i.e. a 1325-wide
+// expansion, so the time is the Gram matrix plus a 1325×1325 Cholesky.
+void BM_RidgeFit(benchmark::State& state) {
+  Rng rng(9);
+  regress::RegressionData d;
+  d.x = Matrix::randn(1240, 50, rng);
+  d.y.resize(d.x.rows());
+  for (std::size_t i = 0; i < d.y.size(); ++i) {
+    d.y[i] = std::exp(d.x(i, 0));
+  }
+  for (auto _ : state) {
+    regress::LogTargetRegressor pr(
+        std::make_unique<regress::PolynomialRegression>());
+    pr.fit(d);
+    benchmark::DoNotOptimize(pr);
+  }
+}
+BENCHMARK(BM_RidgeFit)->Unit(benchmark::kMillisecond);
 
 // One serving-path regressor call: the log-target degree-2 model with
 // interactions over 50 features (32 embedding, 10 cluster, 8 workload),

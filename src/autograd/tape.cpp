@@ -1,6 +1,9 @@
 #include "autograd/tape.hpp"
 
+#include <algorithm>
 #include <cmath>
+
+#include "tensor/simd.hpp"
 
 namespace pddl::ag {
 
@@ -49,6 +52,23 @@ void Tape::accumulate(std::size_t id, const Matrix& delta) {
   grad(id) += delta;
 }
 
+void Tape::accumulate(std::size_t id, Matrix&& delta) {
+  Node& n = nodes_[id];
+  if (!n.needs_grad) return;
+  if (!n.grad.empty()) {
+    n.grad += delta;
+    return;
+  }
+  // First contribution: take the buffer instead of adding it onto zeros.
+  // 0 + x is x for every x except −0, which it turns into +0, so the same
+  // "+ 0.0" keeps the slot's bits exactly what the zero-fill path gave.
+  PDDL_CHECK(delta.rows() == n.value.rows() && delta.cols() == n.value.cols(),
+             "accumulate: gradient shape mismatch");
+  double* d = delta.data();
+  for (std::size_t i = 0; i < delta.size(); ++i) d[i] += 0.0;
+  n.grad = std::move(delta);
+}
+
 void Tape::backward(Var root) {
   PDDL_CHECK(root.tape == this, "backward: root from another tape");
   PDDL_CHECK(root.value().rows() == 1 && root.value().cols() == 1,
@@ -64,6 +84,11 @@ void Tape::backward(Var root) {
 }
 
 // ---- ops ----
+//
+// Backward closures capture node ids, never Vars, so every closure fits in
+// std::function's inline buffer (no heap allocation per node).  A delta
+// built for one parent is passed as an rvalue, so it moves into an empty
+// gradient slot.
 
 namespace {
 Tape* tape_of(Var a, Var b) {
@@ -71,72 +96,115 @@ Tape* tape_of(Var a, Var b) {
              "binary op requires Vars on the same tape");
   return a.tape;
 }
+
+// Elementwise op y = F(x).  The backward sets da[i] = D(g[i], x[i], y[i]),
+// reading x from the parent and y from the node itself (the next slot of
+// the tape); F and D are captureless lambdas, passed by type.
+template <typename F, typename D>
+Var elementwise(Var a, F, D) {
+  Matrix out = a.value();
+  double* y = out.data();
+  for (std::size_t i = 0; i < out.size(); ++i) y[i] = F{}(y[i]);
+  const std::size_t self = a.tape->size();
+  return a.tape->make_node(
+      std::move(out), {a}, [ia = a.id, self](Tape& tp, const Matrix& g) {
+        const double* x = tp.value(ia).data();
+        const double* yv = tp.value(self).data();
+        Matrix da = g;
+        double* d = da.data();
+        for (std::size_t i = 0; i < da.size(); ++i) {
+          d[i] = D{}(d[i], x[i], yv[i]);
+        }
+        tp.accumulate(ia, std::move(da));
+      });
+}
+
+// grad_b += aᵀ·g without materializing aᵀ or the product.  Row r of the
+// product is Σ_i a(i, r)·g[i, :] summed in ascending i and skipping a zero
+// a(i, r): the per-element order of matmul(aᵀ, g).  With one row (every GHN
+// node update) that sum is a single scaled row, added straight into the
+// gradient; otherwise it is summed into a scratch row first and then added,
+// so the gradient still sees one add of the finished sum.  axpy with s = 1
+// is that add: 1·x is x bit for bit.
+void accumulate_at_g(Matrix& grad_b, const Matrix& a, const Matrix& g) {
+  const std::size_t m = a.rows(), k = a.cols(), n = g.cols();
+  if (m == 1) {
+    for (std::size_t r = 0; r < k; ++r) {
+      const double s = a(0, r);
+      if (s != 0.0) simd::axpy_f64(grad_b.row_ptr(r), g.data(), s, n);
+    }
+    return;
+  }
+  Vector row(n);
+  for (std::size_t r = 0; r < k; ++r) {
+    std::fill(row.begin(), row.end(), 0.0);
+    for (std::size_t i = 0; i < m; ++i) {
+      const double s = a(i, r);
+      if (s != 0.0) simd::axpy_f64(row.data(), g.row_ptr(i), s, n);
+    }
+    simd::axpy_f64(grad_b.row_ptr(r), row.data(), 1.0, n);
+  }
+}
 }  // namespace
 
 Var add(Var a, Var b) {
   Tape* t = tape_of(a, b);
   PDDL_CHECK(a.value().same_shape(b.value()), "add: shape mismatch");
-  Matrix out = a.value() + b.value();
-  return t->make_node(std::move(out), {a, b},
-                      [a, b](Tape& tp, const Matrix& g) {
-                        tp.accumulate(a.id, g);
-                        tp.accumulate(b.id, g);
+  return t->make_node(a.value() + b.value(), {a, b},
+                      [ia = a.id, ib = b.id](Tape& tp, const Matrix& g) {
+                        tp.accumulate(ia, g);
+                        tp.accumulate(ib, g);
                       });
 }
 
 Var sub(Var a, Var b) {
   Tape* t = tape_of(a, b);
   PDDL_CHECK(a.value().same_shape(b.value()), "sub: shape mismatch");
-  Matrix out = a.value() - b.value();
-  return t->make_node(std::move(out), {a, b},
-                      [a, b](Tape& tp, const Matrix& g) {
-                        tp.accumulate(a.id, g);
-                        tp.accumulate(b.id, g * -1.0);
+  return t->make_node(a.value() - b.value(), {a, b},
+                      [ia = a.id, ib = b.id](Tape& tp, const Matrix& g) {
+                        tp.accumulate(ia, g);
+                        if (tp.needs_grad(ib)) tp.accumulate(ib, g * -1.0);
                       });
 }
 
 Var mul(Var a, Var b) {
   Tape* t = tape_of(a, b);
   PDDL_CHECK(a.value().same_shape(b.value()), "mul: shape mismatch");
-  Matrix out = hadamard(a.value(), b.value());
-  return t->make_node(std::move(out), {a, b},
-                      [a, b](Tape& tp, const Matrix& g) {
-                        tp.accumulate(a.id, hadamard(g, tp.value(b.id)));
-                        tp.accumulate(b.id, hadamard(g, tp.value(a.id)));
-                      });
+  return t->make_node(
+      hadamard(a.value(), b.value()), {a, b},
+      [ia = a.id, ib = b.id](Tape& tp, const Matrix& g) {
+        if (tp.needs_grad(ia)) tp.accumulate(ia, hadamard(g, tp.value(ib)));
+        if (tp.needs_grad(ib)) tp.accumulate(ib, hadamard(g, tp.value(ia)));
+      });
 }
 
 Var matmul(Var a, Var b) {
   Tape* t = tape_of(a, b);
-  Matrix out = pddl::matmul(a.value(), b.value());
   return t->make_node(
-      std::move(out), {a, b}, [a, b](Tape& tp, const Matrix& g) {
-        // dA = g·Bᵀ ; dB = Aᵀ·g.
-        if (tp.needs_grad(a.id)) {
-          tp.accumulate(a.id, pddl::matmul(g, tp.value(b.id).transposed()));
+      pddl::matmul(a.value(), b.value()), {a, b},
+      [ia = a.id, ib = b.id](Tape& tp, const Matrix& g) {
+        // dA = g·Bᵀ: the same ascending dot per element as matmul(g, Bᵀ),
+        // read from B in place.  dB = Aᵀ·g, accumulated in place.
+        if (tp.needs_grad(ia)) {
+          tp.accumulate(ia, matmul_transposed_b(g, tp.value(ib)));
         }
-        if (tp.needs_grad(b.id)) {
-          tp.accumulate(b.id, pddl::matmul(tp.value(a.id).transposed(), g));
-        }
+        if (tp.needs_grad(ib)) accumulate_at_g(tp.grad(ib), tp.value(ia), g);
       });
 }
 
 Var scale(Var a, double s) {
-  Matrix out = a.value() * s;
-  return a.tape->make_node(std::move(out), {a},
-                           [a, s](Tape& tp, const Matrix& g) {
-                             tp.accumulate(a.id, g * s);
+  return a.tape->make_node(a.value() * s, {a},
+                           [ia = a.id, s](Tape& tp, const Matrix& g) {
+                             tp.accumulate(ia, g * s);
                            });
 }
 
 Var add_scalar(Var a, double s) {
   Matrix out = a.value();
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    for (std::size_t c = 0; c < out.cols(); ++c) out(r, c) += s;
-  }
+  for (std::size_t i = 0; i < out.size(); ++i) out.data()[i] += s;
   return a.tape->make_node(std::move(out), {a},
-                           [a](Tape& tp, const Matrix& g) {
-                             tp.accumulate(a.id, g);
+                           [ia = a.id](Tape& tp, const Matrix& g) {
+                             tp.accumulate(ia, g);
                            });
 }
 
@@ -149,132 +217,65 @@ Var add_row_broadcast(Var a, Var row) {
     for (std::size_t c = 0; c < out.cols(); ++c) out(r, c) += row.value()(0, c);
   }
   return t->make_node(std::move(out), {a, row},
-                      [a, row](Tape& tp, const Matrix& g) {
-                        tp.accumulate(a.id, g);
-                        if (tp.needs_grad(row.id)) {
-                          Matrix rg(1, g.cols());
-                          for (std::size_t r = 0; r < g.rows(); ++r) {
-                            for (std::size_t c = 0; c < g.cols(); ++c) {
-                              rg(0, c) += g(r, c);
-                            }
+                      [ia = a.id, irow = row.id](Tape& tp, const Matrix& g) {
+                        tp.accumulate(ia, g);
+                        if (!tp.needs_grad(irow)) return;
+                        Matrix rg(1, g.cols());
+                        for (std::size_t r = 0; r < g.rows(); ++r) {
+                          for (std::size_t c = 0; c < g.cols(); ++c) {
+                            rg(0, c) += g(r, c);
                           }
-                          tp.accumulate(row.id, rg);
                         }
+                        tp.accumulate(irow, std::move(rg));
                       });
 }
 
 Var sigmoid(Var a) {
-  Matrix out = a.value();
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    for (std::size_t c = 0; c < out.cols(); ++c) {
-      out(r, c) = 1.0 / (1.0 + std::exp(-out(r, c)));
-    }
-  }
-  Matrix saved = out;
-  return a.tape->make_node(
-      std::move(out), {a},
-      [a, saved = std::move(saved)](Tape& tp, const Matrix& g) {
-        Matrix da = g;
-        for (std::size_t r = 0; r < da.rows(); ++r) {
-          for (std::size_t c = 0; c < da.cols(); ++c) {
-            const double sv = saved(r, c);
-            da(r, c) *= sv * (1.0 - sv);
-          }
-        }
-        tp.accumulate(a.id, da);
-      });
+  return elementwise(
+      a, [](double x) { return 1.0 / (1.0 + std::exp(-x)); },
+      [](double g, double, double y) { return g * (y * (1.0 - y)); });
 }
 
 Var tanh_op(Var a) {
-  Matrix out = a.value();
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    for (std::size_t c = 0; c < out.cols(); ++c) out(r, c) = std::tanh(out(r, c));
-  }
-  Matrix saved = out;
-  return a.tape->make_node(
-      std::move(out), {a},
-      [a, saved = std::move(saved)](Tape& tp, const Matrix& g) {
-        Matrix da = g;
-        for (std::size_t r = 0; r < da.rows(); ++r) {
-          for (std::size_t c = 0; c < da.cols(); ++c) {
-            const double tv = saved(r, c);
-            da(r, c) *= 1.0 - tv * tv;
-          }
-        }
-        tp.accumulate(a.id, da);
-      });
+  return elementwise(
+      a, [](double x) { return std::tanh(x); },
+      [](double g, double, double y) { return g * (1.0 - y * y); });
 }
 
 Var relu(Var a) {
-  Matrix out = a.value();
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    for (std::size_t c = 0; c < out.cols(); ++c) {
-      if (out(r, c) < 0.0) out(r, c) = 0.0;
-    }
-  }
-  return a.tape->make_node(std::move(out), {a},
-                           [a](Tape& tp, const Matrix& g) {
-                             const Matrix& x = tp.value(a.id);
-                             Matrix da = g;
-                             for (std::size_t r = 0; r < da.rows(); ++r) {
-                               for (std::size_t c = 0; c < da.cols(); ++c) {
-                                 if (x(r, c) <= 0.0) da(r, c) = 0.0;
-                               }
-                             }
-                             tp.accumulate(a.id, da);
-                           });
+  return elementwise(
+      a, [](double x) { return x < 0.0 ? 0.0 : x; },
+      [](double g, double x, double) { return x <= 0.0 ? 0.0 : g; });
 }
 
 Var square(Var a) {
-  Matrix out = hadamard(a.value(), a.value());
-  return a.tape->make_node(std::move(out), {a},
-                           [a](Tape& tp, const Matrix& g) {
-                             Matrix da = hadamard(g, tp.value(a.id));
-                             da *= 2.0;
-                             tp.accumulate(a.id, da);
-                           });
+  return elementwise(a, [](double x) { return x * x; },
+                     [](double g, double x, double) { return g * x * 2.0; });
 }
 
 Var abs_op(Var a) {
-  Matrix out = a.value();
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    for (std::size_t c = 0; c < out.cols(); ++c) out(r, c) = std::fabs(out(r, c));
-  }
-  return a.tape->make_node(
-      std::move(out), {a}, [a](Tape& tp, const Matrix& g) {
-        const Matrix& x = tp.value(a.id);
-        Matrix da = g;
-        for (std::size_t r = 0; r < da.rows(); ++r) {
-          for (std::size_t c = 0; c < da.cols(); ++c) {
-            const double xv = x(r, c);
-            da(r, c) *= (xv > 0.0) - (xv < 0.0);
-          }
-        }
-        tp.accumulate(a.id, da);
-      });
+  return elementwise(a, [](double x) { return std::fabs(x); },
+                     [](double g, double x, double) {
+                       return g * ((x > 0.0) - (x < 0.0));
+                     });
 }
 
 Var mean_all(Var a) {
   const double n = static_cast<double>(a.value().size());
-  Matrix out(1, 1);
-  out(0, 0) = a.value().sum() / n;
-  return a.tape->make_node(std::move(out), {a},
-                           [a, n](Tape& tp, const Matrix& g) {
-                             const double gv = g(0, 0) / n;
-                             Matrix da(tp.value(a.id).rows(),
-                                       tp.value(a.id).cols(), gv);
-                             tp.accumulate(a.id, da);
+  return a.tape->make_node(Matrix(1, 1, a.value().sum() / n), {a},
+                           [ia = a.id, n](Tape& tp, const Matrix& g) {
+                             const Matrix& x = tp.value(ia);
+                             tp.accumulate(ia, Matrix(x.rows(), x.cols(),
+                                                      g(0, 0) / n));
                            });
 }
 
 Var sum_all(Var a) {
-  Matrix out(1, 1);
-  out(0, 0) = a.value().sum();
-  return a.tape->make_node(std::move(out), {a},
-                           [a](Tape& tp, const Matrix& g) {
-                             Matrix da(tp.value(a.id).rows(),
-                                       tp.value(a.id).cols(), g(0, 0));
-                             tp.accumulate(a.id, da);
+  return a.tape->make_node(Matrix(1, 1, a.value().sum()), {a},
+                           [ia = a.id](Tape& tp, const Matrix& g) {
+                             const Matrix& x = tp.value(ia);
+                             tp.accumulate(ia, Matrix(x.rows(), x.cols(),
+                                                      g(0, 0)));
                            });
 }
 
@@ -292,23 +293,17 @@ Var concat_cols(Var a, Var b) {
     for (std::size_t c = 0; c < cb; ++c) out(r, ca + c) = b.value()(r, c);
   }
   return t->make_node(std::move(out), {a, b},
-                      [a, b, ca, cb](Tape& tp, const Matrix& g) {
-                        if (tp.needs_grad(a.id)) {
-                          Matrix da(g.rows(), ca);
-                          for (std::size_t r = 0; r < g.rows(); ++r) {
-                            for (std::size_t c = 0; c < ca; ++c) da(r, c) = g(r, c);
-                          }
-                          tp.accumulate(a.id, da);
+                      [ia = a.id, ib = b.id](Tape& tp, const Matrix& g) {
+                        const std::size_t ca = tp.value(ia).cols();
+                        const std::size_t cb = tp.value(ib).cols();
+                        Matrix da(g.rows(), ca), db(g.rows(), cb);
+                        for (std::size_t r = 0; r < g.rows(); ++r) {
+                          const double* gr = g.row_ptr(r);
+                          std::copy(gr, gr + ca, da.row_ptr(r));
+                          std::copy(gr + ca, gr + ca + cb, db.row_ptr(r));
                         }
-                        if (tp.needs_grad(b.id)) {
-                          Matrix db(g.rows(), cb);
-                          for (std::size_t r = 0; r < g.rows(); ++r) {
-                            for (std::size_t c = 0; c < cb; ++c) {
-                              db(r, c) = g(r, ca + c);
-                            }
-                          }
-                          tp.accumulate(b.id, db);
-                        }
+                        tp.accumulate(ia, std::move(da));
+                        tp.accumulate(ib, std::move(db));
                       });
 }
 
@@ -320,15 +315,15 @@ Var slice_cols(Var a, std::size_t begin, std::size_t end) {
     for (std::size_t c = begin; c < end; ++c) out(r, c - begin) = a.value()(r, c);
   }
   return a.tape->make_node(std::move(out), {a},
-                           [a, begin](Tape& tp, const Matrix& g) {
-                             Matrix da(tp.value(a.id).rows(),
-                                       tp.value(a.id).cols());
+                           [ia = a.id, begin](Tape& tp, const Matrix& g) {
+                             const Matrix& x = tp.value(ia);
+                             Matrix da(x.rows(), x.cols());
                              for (std::size_t r = 0; r < g.rows(); ++r) {
                                for (std::size_t c = 0; c < g.cols(); ++c) {
                                  da(r, begin + c) = g(r, c);
                                }
                              }
-                             tp.accumulate(a.id, da);
+                             tp.accumulate(ia, std::move(da));
                            });
 }
 
@@ -340,7 +335,7 @@ Var mean_rows(Var a) {
   }
   out *= 1.0 / static_cast<double>(m);
   return a.tape->make_node(std::move(out), {a},
-                           [a, m](Tape& tp, const Matrix& g) {
+                           [ia = a.id, m](Tape& tp, const Matrix& g) {
                              const double inv = 1.0 / static_cast<double>(m);
                              Matrix da(m, g.cols());
                              for (std::size_t r = 0; r < m; ++r) {
@@ -348,7 +343,7 @@ Var mean_rows(Var a) {
                                  da(r, c) = g(0, c) * inv;
                                }
                              }
-                             tp.accumulate(a.id, da);
+                             tp.accumulate(ia, std::move(da));
                            });
 }
 

@@ -66,7 +66,10 @@ class Tape {
   void backward(Var root);
 
   // Add `delta` into node `id`'s gradient (helper for backward closures).
+  // The rvalue form moves `delta` into a still-empty slot instead of adding
+  // it onto zeros; both leave the same bits (DESIGN.md §17).
   void accumulate(std::size_t id, const Matrix& delta);
+  void accumulate(std::size_t id, Matrix&& delta);
 
   std::size_t size() const { return nodes_.size(); }
 

@@ -20,7 +20,7 @@ void LinearRegression::fit(const RegressionData& data) {
 
   if (lambda_ > 0.0) {
     // Ridge: (XᵀX + λI)β = Xᵀy.
-    Matrix xtx = matmul(xs.transposed(), xs);
+    Matrix xtx = gram(xs);
     for (std::size_t j = 0; j < f; ++j) xtx(j, j) += lambda_;
     coef_ = cholesky_solve(xtx, matvec_transposed(xs, yc));
   } else {

@@ -3,23 +3,66 @@
 #include <algorithm>
 #include <cmath>
 
+#include "tensor/simd.hpp"
+
 namespace pddl {
+
+namespace {
+// matmul's blocked-path tile (tensor/matrix.cpp): a kKc-row slab of x by a
+// kNc-column panel, 128 KiB, streamed against the output rows while it sits
+// in L2.
+constexpr std::size_t kKc = 64;
+constexpr std::size_t kNc = 256;
+}  // namespace
+
+Matrix gram(const Matrix& x) {
+  const std::size_t n = x.rows(), f = x.cols();
+  Matrix out(f, f);
+  // Upper triangle only, tiled over rows (k) and output columns (j) the way
+  // matmul's blocked path is.  Element (p, q) receives x(i, p)·x(i, q) in
+  // ascending i, skipping a zero x(i, p): the order matmul(xᵀ, x) uses.
+  for (std::size_t k0 = 0; k0 < n; k0 += kKc) {
+    const std::size_t k1 = std::min(n, k0 + kKc);
+    for (std::size_t j0 = 0; j0 < f; j0 += kNc) {
+      const std::size_t j1 = std::min(f, j0 + kNc);
+      for (std::size_t p = 0; p < j1; ++p) {
+        const std::size_t lo = std::max(p, j0);
+        double* orow = out.row_ptr(p) + lo;
+        for (std::size_t i = k0; i < k1; ++i) {
+          const double xip = x(i, p);
+          if (xip == 0.0) continue;
+          simd::axpy_f64(orow, x.row_ptr(i) + lo, xip, j1 - lo);
+        }
+      }
+    }
+  }
+  // Mirror.  matmul would skip the zero x(i, q) terms of (q, p) instead of
+  // the zero x(i, p) ones, but a skipped term is a ±0 product and adding
+  // ±0 never changes a sum that started at +0 (DESIGN.md §17).
+  for (std::size_t p = 0; p < f; ++p) {
+    for (std::size_t q = p + 1; q < f; ++q) out(q, p) = out(p, q);
+  }
+  return out;
+}
 
 Matrix cholesky(const Matrix& a) {
   PDDL_CHECK(a.rows() == a.cols(), "cholesky: matrix must be square");
   const std::size_t n = a.rows();
   Matrix l(n, n);
+  Vector s(n);
   for (std::size_t j = 0; j < n; ++j) {
-    double d = a(j, j);
-    for (std::size_t k = 0; k < j; ++k) d -= l(j, k) * l(j, k);
+    // s = a(·, j) − Σ_{k<j} l(·, k)·l(j, k), one subtraction per k in
+    // ascending k, for the pivot row and every row below it.
+    for (std::size_t i = j; i < n; ++i) s[i - j] = a(i, j);
+    const double* lj = l.row_ptr(j);
+    simd::sub_dots_f64(lj, lj, n, 1, j, s.data());
+    const double d = s[0];
     PDDL_CHECK(d > 0.0, "cholesky: matrix is not positive definite (pivot ", d,
                " at ", j, ")");
     l(j, j) = std::sqrt(d);
-    for (std::size_t i = j + 1; i < n; ++i) {
-      double s = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
-      l(i, j) = s / l(j, j);
-    }
+    if (j + 1 == n) break;
+    simd::sub_dots_f64(lj, l.row_ptr(j + 1), n, n - j - 1, j, s.data() + 1);
+    for (std::size_t i = j + 1; i < n; ++i) l(i, j) = s[i - j] / l(j, j);
   }
   return l;
 }
@@ -98,7 +141,7 @@ Vector least_squares_qr(const Matrix& a, const Vector& b) {
   if (deficient) {
     // Ridge fallback on the equilibrated system: AᵀA has unit diagonal, so
     // a tiny absolute λ is a tiny relative perturbation.
-    Matrix ata = matmul(ae.transposed(), ae);
+    Matrix ata = gram(ae);
     for (std::size_t i = 0; i < n; ++i) ata(i, i) += 1e-8;
     x = cholesky_solve(ata, matvec_transposed(ae, b));
   } else {

@@ -1,5 +1,6 @@
 // Direct linear-algebra solvers used by the regression engines.
 //
+//  * gram — XᵀX for the normal equations.
 //  * cholesky / cholesky_solve — SPD systems (ridge / normal equations).
 //  * qr_decompose / least_squares_qr — numerically safer OLS path used by
 //    LinearRegression; falls back to a tiny ridge if the design matrix is
@@ -10,6 +11,10 @@
 #include "tensor/matrix.hpp"
 
 namespace pddl {
+
+// XᵀX for an m×n X, bit-identical to matmul(x.transposed(), x): only the
+// upper triangle is computed, then mirrored.
+Matrix gram(const Matrix& x);
 
 // Lower-triangular L with A = L·Lᵀ.  Throws pddl::Error if A is not SPD
 // (within `jitter` tolerance on the diagonal).

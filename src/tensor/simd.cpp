@@ -69,6 +69,17 @@ void axpy_f64_scalar(double* dst, const double* src, double s, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] += s * src[i];
 }
 
+void sub_dots_f64_scalar(const double* x, const double* rows,
+                         std::size_t stride, std::size_t m, std::size_t k_dim,
+                         double* acc) {
+  for (std::size_t r = 0; r < m; ++r) {
+    const double* row = rows + r * stride;
+    double s = acc[r];
+    for (std::size_t k = 0; k < k_dim; ++k) s -= row[k] * x[k];
+    acc[r] = s;
+  }
+}
+
 void dot_rows_transposed_f32_scalar(const float* x, const float* bt,
                                     std::size_t n, std::size_t k_dim,
                                     const float* bias, float* y) {
@@ -270,6 +281,17 @@ void axpy_f64(double* dst, const double* src, double s, std::size_t n) {
   }
 #endif
   detail::axpy_f64_scalar(dst, src, s, n);
+}
+
+void sub_dots_f64(const double* x, const double* rows, std::size_t stride,
+                  std::size_t m, std::size_t k_dim, double* acc) {
+#if defined(PDDL_HAVE_AVX2_KERNELS)
+  if (use_avx2()) {
+    detail::sub_dots_f64_avx2(x, rows, stride, m, k_dim, acc);
+    return;
+  }
+#endif
+  detail::sub_dots_f64_scalar(x, rows, stride, m, k_dim, acc);
 }
 
 void dot_rows_transposed_f32(const float* x, const float* bt, std::size_t n,

@@ -67,6 +67,11 @@ void gemm_rows_f64(const double* a, std::size_t m, std::size_t k,
                    const double* w, std::size_t ncols, double* dst);
 // dst[i] += s · src[i].
 void axpy_f64(double* dst, const double* src, double s, std::size_t n);
+// acc[r] −= rows[r·stride + k]·x[k] for k = 0, 1, …, k_dim−1 in turn, for
+// every r < m: the Cholesky column update, one rounded mul and one rounded
+// sub per k.  The AVX2 kernel runs four rows per vector, one lane each.
+void sub_dots_f64(const double* x, const double* rows, std::size_t stride,
+                  std::size_t m, std::size_t k_dim, double* acc);
 
 // ---- f32 kernels (same shapes, single precision) ----
 void dot_rows_transposed_f32(const float* x, const float* bt, std::size_t n,

@@ -225,6 +225,37 @@ void axpy_f64_avx2(double* dst, const double* src, double s, std::size_t n) {
   for (; i < n; ++i) dst[i] += s * src[i];
 }
 
+void sub_dots_f64_avx2(const double* x, const double* rows, std::size_t stride,
+                       std::size_t m, std::size_t k_dim, double* acc) {
+  // Four rows per vector, one lane each; every lane subtracts its own
+  // products in ascending k, fed column-wise by dot4_pd's 4×4 transpose.
+  std::size_t r = 0;
+  for (; r + 4 <= m; r += 4) {
+    const double* b0 = rows + (r + 0) * stride;
+    const double* b1 = rows + (r + 1) * stride;
+    const double* b2 = rows + (r + 2) * stride;
+    const double* b3 = rows + (r + 3) * stride;
+    __m256d s = _mm256_loadu_pd(acc + r);
+    std::size_t k = 0;
+    __m256d c[4];
+    for (; k + 4 <= k_dim; k += 4) {
+      transpose4x4_pd(b0, b1, b2, b3, k, c);
+      s = _mm256_sub_pd(s, _mm256_mul_pd(c[0], _mm256_set1_pd(x[k + 0])));
+      s = _mm256_sub_pd(s, _mm256_mul_pd(c[1], _mm256_set1_pd(x[k + 1])));
+      s = _mm256_sub_pd(s, _mm256_mul_pd(c[2], _mm256_set1_pd(x[k + 2])));
+      s = _mm256_sub_pd(s, _mm256_mul_pd(c[3], _mm256_set1_pd(x[k + 3])));
+    }
+    for (; k < k_dim; ++k) {
+      const __m256d col = _mm256_set_pd(b3[k], b2[k], b1[k], b0[k]);
+      s = _mm256_sub_pd(s, _mm256_mul_pd(col, _mm256_set1_pd(x[k])));
+    }
+    _mm256_storeu_pd(acc + r, s);
+  }
+  if (r < m) {
+    sub_dots_f64_scalar(x, rows + r * stride, stride, m - r, k_dim, acc + r);
+  }
+}
+
 void dot_rows_transposed_f32_avx2(const float* x, const float* bt,
                                   std::size_t n, std::size_t k_dim,
                                   const float* bias, float* y) {

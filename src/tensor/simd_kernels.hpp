@@ -35,6 +35,9 @@ void matmul_rows_transposed_b_f64_scalar(const double* a, std::size_t m,
 void gemm_rows_f64_scalar(const double* a, std::size_t m, std::size_t k,
                           const double* w, std::size_t ncols, double* dst);
 void axpy_f64_scalar(double* dst, const double* src, double s, std::size_t n);
+void sub_dots_f64_scalar(const double* x, const double* rows,
+                         std::size_t stride, std::size_t m, std::size_t k_dim,
+                         double* acc);
 void dot_rows_transposed_f32_scalar(const float* x, const float* bt,
                                     std::size_t n, std::size_t k_dim,
                                     const float* bias, float* y);
@@ -58,6 +61,8 @@ void matmul_rows_transposed_b_f64_avx2(const double* a, std::size_t m,
 void gemm_rows_f64_avx2(const double* a, std::size_t m, std::size_t k,
                         const double* w, std::size_t ncols, double* dst);
 void axpy_f64_avx2(double* dst, const double* src, double s, std::size_t n);
+void sub_dots_f64_avx2(const double* x, const double* rows, std::size_t stride,
+                       std::size_t m, std::size_t k_dim, double* acc);
 void dot_rows_transposed_f32_avx2(const float* x, const float* bt,
                                   std::size_t n, std::size_t k_dim,
                                   const float* bias, float* y);

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include "autograd/optim.hpp"
 #include "autograd/tape.hpp"
+#include "tensor/simd.hpp"
 
 namespace pddl::ag {
 namespace {
@@ -74,6 +76,89 @@ TEST(Tape, GradientAccumulatesWhenVarUsedTwice) {
   // loss = a·a (via mul) → d/da = 2a = 6.
   ctx.backward(sum_all(mul(a, a)));
   EXPECT_DOUBLE_EQ(ctx.grad(p)(0, 0), 6.0);
+}
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// Random matrix with some exact zeros planted, plus one all-zero column:
+// the zero entries of A are the ones matmul skips.
+Matrix sparse_randn(std::size_t rows, std::size_t cols, Rng& rng) {
+  Matrix m = Matrix::randn(rows, cols, rng);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (rng.uniform(0.0, 1.0) < 0.25) m(r, c) = 0.0;
+    }
+  }
+  for (std::size_t r = 0; r < rows; ++r) m(r, cols / 2) = 0.0;
+  return m;
+}
+
+TEST(Tape, MatmulBackwardMatchesTransposeFormulasBitForBit) {
+  // Y1 = A·B1 and Y2 = A·B2 share the leaf A; Y3 = A2·B1 shares B1.  The
+  // loss Σ (Y ∘ C) hands each matmul the upstream gradient C exactly, so the
+  // oracle is the formulas the backward used to run, accumulated onto zeros
+  // in the reverse sweep's order (Y3, Y2, Y1):
+  //   dA  = 0 + C2·B2ᵀ + C1·B1ᵀ
+  //   dB1 = 0 + A2ᵀ·C3 + Aᵀ·C1,   dB2 = 0 + Aᵀ·C2,   dA2 = 0 + C3·B1ᵀ.
+  // m = 1 is the GHN's shape (one node row); the larger m take the
+  // scratch-row path, and 70 × 300 reaches matmul's blocked kernel.
+  Rng rng(41);
+  const simd::DispatchLevel levels[] = {simd::DispatchLevel::kScalar,
+                                        simd::DispatchLevel::kAvx2};
+  const std::size_t shapes[][3] = {{1, 7, 5}, {1, 33, 32}, {4, 9, 6},
+                                   {70, 65, 300}};
+  for (const auto& shape : shapes) {
+    const std::size_t m = shape[0], k = shape[1], n = shape[2];
+    const Matrix a = sparse_randn(m, k, rng), a2 = sparse_randn(m, k, rng);
+    const Matrix b1 = sparse_randn(k, n, rng), b2 = sparse_randn(k, n, rng);
+    const Matrix c1 = sparse_randn(m, n, rng), c2 = sparse_randn(m, n, rng),
+                 c3 = sparse_randn(m, n, rng);
+
+    Matrix da(m, k), db1(k, n), db2(k, n), da2(m, k);
+    da += pddl::matmul(c2, b2.transposed());
+    da += pddl::matmul(c1, b1.transposed());
+    db1 += pddl::matmul(a2.transposed(), c3);
+    db1 += pddl::matmul(a.transposed(), c1);
+    db2 += pddl::matmul(a.transposed(), c2);
+    da2 += pddl::matmul(c3, b1.transposed());
+
+    for (const simd::DispatchLevel level : levels) {
+      const simd::DispatchLevel prev = simd::set_dispatch_level(level);
+      Matrix pa = a, pa2 = a2, pb1 = b1, pb2 = b2;
+      Ctx ctx;
+      Var va = ctx.leaf(pa), va2 = ctx.leaf(pa2);
+      Var vb1 = ctx.leaf(pb1), vb2 = ctx.leaf(pb2);
+      Var l1 = sum_all(mul(matmul(va, vb1), ctx.constant(c1)));
+      Var l2 = sum_all(mul(matmul(va, vb2), ctx.constant(c2)));
+      Var l3 = sum_all(mul(matmul(va2, vb1), ctx.constant(c3)));
+      ctx.backward(add(add(l1, l2), l3));
+      const std::string at = std::to_string(m) + "x" + std::to_string(k) +
+                             "x" + std::to_string(n) + " at " +
+                             simd::active_level_name();
+      EXPECT_TRUE(same_bits(ctx.grad(pa), da)) << "dA " << at;
+      EXPECT_TRUE(same_bits(ctx.grad(pa2), da2)) << "dA2 " << at;
+      EXPECT_TRUE(same_bits(ctx.grad(pb1), db1)) << "dB1 " << at;
+      EXPECT_TRUE(same_bits(ctx.grad(pb2), db2)) << "dB2 " << at;
+      simd::set_dispatch_level(prev);
+    }
+  }
+}
+
+TEST(Tape, FirstGradientContributionKeepsZeroFillBits) {
+  // d(Σ x∘c)/dx = 1·c, so the entry where c is −0 gets a −0 delta.  Added
+  // onto a zero-filled slot it becomes 0 + (−0) = +0; a delta moved into an
+  // empty slot must read the same, sign bit included.
+  Matrix x{{2.0, -3.0}};
+  Ctx ctx;
+  Var vx = ctx.leaf(x);
+  ctx.backward(sum_all(mul(vx, ctx.constant(Matrix{{-0.0, 5.0}}))));
+  const Matrix g = ctx.grad(x);
+  EXPECT_EQ(g(0, 0), 0.0);
+  EXPECT_FALSE(std::signbit(g(0, 0)));
+  EXPECT_EQ(g(0, 1), 5.0);
 }
 
 TEST(Tape, MixingTapesThrows) {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include "tensor/linalg.hpp"
+#include "tensor/simd.hpp"
 
 namespace pddl {
 namespace {
@@ -154,6 +157,91 @@ TEST(LeastSquares, ScaleInvariantAcrossColumns) {
   EXPECT_NEAR(x[0], coef[0], 1e-6);
   EXPECT_NEAR(x[1], coef[1], 1e-8);
   EXPECT_NEAR(x[2] / coef[2], 1.0, 1e-6);
+}
+
+// ---- bit-exact kernels: the new routines against the formulas they
+// replaced, kept here verbatim as oracles, at every dispatch level ----
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// The scalar Cholesky loop cholesky() ran before it was vectorized.
+Matrix cholesky_oracle(const Matrix& a) {
+  const std::size_t n = a.rows();
+  Matrix l(n, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    double d = a(j, j);
+    for (std::size_t k = 0; k < j; ++k) d -= l(j, k) * l(j, k);
+    l(j, j) = std::sqrt(d);
+    for (std::size_t i = j + 1; i < n; ++i) {
+      double s = a(i, j);
+      for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
+      l(i, j) = s / l(j, j);
+    }
+  }
+  return l;
+}
+
+// Both dispatch levels this host can run (scalar twice when it has no AVX2
+// or PDDL_DISPATCH=scalar caps it).
+const simd::DispatchLevel kLevels[] = {simd::DispatchLevel::kScalar,
+                                       simd::DispatchLevel::kAvx2};
+
+class LevelGuard {
+ public:
+  explicit LevelGuard(simd::DispatchLevel level)
+      : prev_(simd::set_dispatch_level(level)) {}
+  ~LevelGuard() { simd::set_dispatch_level(prev_); }
+
+ private:
+  simd::DispatchLevel prev_;
+};
+
+TEST(Cholesky, MatchesScalarOracleBitForBit) {
+  // Sizes cover every remainder of the 4-row vector loop, at both ends of
+  // the column sweep (the rows below pivot j run from n − 1 down to 0).
+  Rng rng(101);
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 17u, 64u, 131u}) {
+    const Matrix a = random_spd(n, rng);
+    const Matrix want = cholesky_oracle(a);
+    for (const simd::DispatchLevel level : kLevels) {
+      LevelGuard g(level);
+      EXPECT_TRUE(same_bits(cholesky(a), want))
+          << "n=" << n << " at " << simd::active_level_name();
+    }
+  }
+}
+
+TEST(Gram, MatchesMatmulOfTransposeBitForBit) {
+  // Shapes straddle matmul's 64-row and 256-column tiles and widths that
+  // are not multiples of 4; zeros cover the skipped terms (planted entries,
+  // a zero row, a zero column), which gram skips on the other factor of the
+  // mirrored half.
+  Rng rng(102);
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 1}, {3, 5}, {7, 3}, {50, 13}, {130, 67}, {70, 301}, {200, 258}};
+  for (const auto& [m, n] : shapes) {
+    Matrix x = Matrix::randn(m, n, rng);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if (rng.uniform(0.0, 1.0) < 0.2) x(i, j) = 0.0;
+      }
+    }
+    if (m > 2) {
+      for (std::size_t j = 0; j < n; ++j) x(m / 2, j) = 0.0;
+    }
+    if (n > 2) {
+      for (std::size_t i = 0; i < m; ++i) x(i, n - 2) = 0.0;
+    }
+    const Matrix want = matmul(x.transposed(), x);
+    for (const simd::DispatchLevel level : kLevels) {
+      LevelGuard g(level);
+      EXPECT_TRUE(same_bits(gram(x), want))
+          << m << "x" << n << " at " << simd::active_level_name();
+    }
+  }
 }
 
 }  // namespace

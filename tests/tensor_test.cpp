@@ -415,6 +415,27 @@ TEST(SimdDispatch, F32KernelsBitIdenticalAcrossLevels) {
   run_dot_and_gemm_parity<float>("f32");
 }
 
+TEST(SimdDispatch, SubDotsBitIdenticalAcrossLevels) {
+  // Rows are read at a stride wider than k_dim, as cholesky reads the
+  // prefixes of L's rows.
+  Rng rng(73);
+  for (const std::size_t m : kDims) {
+    for (const std::size_t k : kDims) {
+      const std::size_t stride = k + 3;
+      const auto rows = random_buf<double>(m * stride, rng);
+      const auto x = random_buf<double>(k, rng);
+      const auto init = random_buf<double>(m, rng);
+      expect_bit_parity_sweep<double>(
+          m,
+          [&](double* acc) {
+            std::copy(init.begin(), init.end(), acc);
+            simd::sub_dots_f64(x.data(), rows.data(), stride, m, k, acc);
+          },
+          "sub_dots_f64");
+    }
+  }
+}
+
 TEST(SimdDispatch, AxpyBitIdenticalAcrossLevels) {
   Rng rng(72);
   for (const std::size_t n : kDims) {
