@@ -233,6 +233,112 @@ TEST(ObservationLog, WrongMagicAndVersionRejected) {
   }
 }
 
+// FNV-1a (64-bit): one number that changes if any byte of a section does.
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// The v2 "observations" payload, pinned byte for byte: recorded while the
+// log was still written field by field.  A change here is a format change
+// and needs a kObservationLogVersion bump.
+TEST(ObservationLog, GoldenSectionIsByteStable) {
+  ObservationLog log(16);
+  populate_log(log);
+  Observation piped = make_observation("resnet50", 64.5, 2);
+  piped.request.workload.parallelism =
+      workload::ParallelismSpec::pipeline(4, 8);
+  log.append(std::move(piped));
+  std::string bytes;
+  io::BinaryWriter w(bytes);
+  log.save(w);
+  EXPECT_EQ(bytes.size(), 1789u);
+  EXPECT_EQ(fnv1a64(bytes), 0x7d442b2dd899016aull);
+
+  ObservationLog restored(16);
+  io::BinaryReader r(bytes, "golden observations");
+  restored.load(r);
+  EXPECT_TRUE(r.at_end());
+  expect_logs_identical(log, restored);
+  EXPECT_EQ(restored.snapshot().back().request.workload.parallelism.key(),
+            "pp4x8");
+  std::string again;
+  io::BinaryWriter w2(again);
+  restored.save(w2);
+  EXPECT_EQ(again, bytes);
+}
+
+// A v1 section (written before the workload carried a parallelism key),
+// spelled out field by field, loads with the data-parallel default.
+TEST(ObservationLog, LoadsV1SectionWithDataParallelDefault) {
+  std::string bytes;
+  io::BinaryWriter w(bytes);
+  w.magic(kObservationMagic);
+  w.u32(1);   // version
+  w.u64(5);   // next seq
+  w.u32(1);   // count
+  w.str("vgg11");  // workload, no parallelism key
+  w.str("cifar10");
+  w.i64(178000000);
+  w.i64(50000);
+  w.i32(10);
+  w.i32(3);
+  w.i32(32);
+  w.i32(32);
+  w.i32(64);  // batch per server
+  w.i32(10);  // epochs
+  w.u32(1);   // cluster: one server
+  w.str("node0");
+  w.str("p100");
+  w.i32(8);
+  w.f64(1e11);
+  w.f64(6.4e10);
+  w.f64(5e8);
+  w.f64(1.25e9);
+  w.i32(1);
+  w.f64(9.3e12);
+  w.f64(1.6e10);
+  w.f64(0.75);
+  w.f64(0.5);
+  w.f64(9.87e8);  // nfs bandwidth
+  w.f64(123.5);   // measured_s
+  w.f64(61.75);   // predicted_s
+  w.u64(4);       // seq
+
+  ObservationLog log(4);
+  io::BinaryReader r(bytes, "v1 observations");
+  log.load(r);
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(log.total_appended(), 5u);
+  const auto records = log.snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  const Observation& obs = records[0];
+  EXPECT_EQ(obs.seq, 4u);
+  EXPECT_EQ(obs.measured_s, 123.5);
+  EXPECT_EQ(obs.predicted_s, 61.75);
+  const workload::DlWorkload& wl = obs.request.workload;
+  EXPECT_EQ(wl.model, "vgg11");
+  EXPECT_EQ(wl.dataset.name, "cifar10");
+  EXPECT_EQ(wl.dataset.size_bytes, 178000000);
+  EXPECT_EQ(wl.dataset.num_classes, 10);
+  EXPECT_EQ(wl.batch_size_per_server, 64);
+  EXPECT_EQ(wl.epochs, 10);
+  EXPECT_TRUE(wl.parallelism.is_default());
+  ASSERT_EQ(obs.request.cluster.servers.size(), 1u);
+  const cluster::ServerSpec& server = obs.request.cluster.servers[0];
+  EXPECT_EQ(server.name, "node0");
+  EXPECT_EQ(server.sku, "p100");
+  EXPECT_EQ(server.cpu_cores, 8);
+  EXPECT_EQ(server.gpus, 1);
+  EXPECT_EQ(server.gpu_flops, 9.3e12);
+  EXPECT_EQ(server.mem_availability, 0.5);
+  EXPECT_EQ(obs.request.cluster.nfs_bw_bps, 9.87e8);
+}
+
 // ---- DriftDetector ----
 
 TEST(DriftDetector, ValidatesConfig) {
@@ -816,6 +922,92 @@ TEST(TransformerFeedback, HeldOutTransformerFamilyFiresGhnDriftSignal) {
   EXPECT_TRUE(b->ghn_drift);  // the held-out family strains the embedding
   EXPECT_FALSE(g->errors.drifted);
   EXPECT_FALSE(g->ghn_drift);  // the fitted family stays clean
+}
+
+// ---- retrain/state section ----
+
+// Payload bytes of section `name` in `snap`.
+std::string section_bytes(const io::SnapshotReader& snap,
+                          const std::string& name) {
+  io::BinaryReader r = snap.reader(name);
+  std::string out;
+  while (!r.at_end()) out.push_back(static_cast<char>(r.u8()));
+  return out;
+}
+
+// The "retrain/state" payload, spelled out field by field: a controller
+// loads it and saves the same bytes back, and the bytes are pinned.
+// Recorded while the section was still written field by field; a change is
+// a format change and needs a version bump.
+TEST(RetrainState, GoldenSectionRoundTripsByteStable) {
+  std::string bytes;
+  io::BinaryWriter w(bytes);
+  w.magic("PDRT");
+  w.u32(1);  // version
+  w.u64(3);  // generation
+  w.u64(4);  // started
+  w.u64(3);  // completed
+  w.u64(1);  // failed
+  w.str("wikitext103");
+  w.str("bert");
+  w.str("retrain for 'x' failed: unknown dataset");
+  w.u64(12);  // corpus graphs
+  w.u64(5);   // family graphs
+  w.i32(6);   // epochs run
+  w.f64(1.75);
+  w.f64(0.9);
+  w.f64(0.3);
+  w.u32(2);  // before-swap windows, in key order
+  for (const char* family : {"bert", "gpt"}) {
+    w.str("wikitext103");
+    w.str(family);
+    w.u64(8);       // count
+    w.f64(12.5);    // mean_abs_s
+    w.f64(0.625);   // mean_rel
+    w.f64(10.0);    // p50_abs_s
+    w.f64(40.0);    // p95_abs_s
+    w.f64(0.5);     // p50_rel
+    w.f64(1.25);    // p95_rel
+    w.boolean(family[0] == 'b');  // drifted
+  }
+  EXPECT_EQ(bytes.size(), 313u);
+  EXPECT_EQ(fnv1a64(bytes), 0x05bedf9d7ab3afeaull);
+
+  std::ostringstream os;
+  {
+    io::SnapshotWriter snap;
+    io::BinaryWriter& section = snap.add("retrain/state");
+    section.raw(bytes.data(), bytes.size());
+    snap.save(os);
+  }
+  ThreadPool pool(1);
+  sim::DdlSimulator sim;
+  core::PredictDdl engine(sim, pool, fast_options());
+  serve::PredictionService service(engine);
+  FeedbackController fb(service, engine);
+  std::istringstream is(os.str());
+  EXPECT_EQ(fb.load(io::SnapshotReader(is, "golden")), 0u);
+
+  const RetrainStatus s = fb.retrain_status();
+  EXPECT_EQ(s.generation, 3u);
+  EXPECT_EQ(s.last_family, "bert");
+  EXPECT_EQ(s.last_epochs_run, 6);
+  EXPECT_EQ(s.last_final_loss, 0.3);
+  ASSERT_EQ(s.families.size(), 2u);
+  EXPECT_EQ(s.families[0].family, "bert");
+  EXPECT_EQ(s.families[0].before.p95_rel, 1.25);
+  EXPECT_TRUE(s.families[0].before.drifted);
+  EXPECT_FALSE(s.families[1].before.drifted);
+
+  std::ostringstream saved;
+  {
+    io::SnapshotWriter snap;
+    fb.save(snap);
+    snap.save(saved);
+  }
+  std::istringstream sis(saved.str());
+  const io::SnapshotReader back(sis, "saved");
+  EXPECT_EQ(section_bytes(back, "retrain/state"), bytes);
 }
 
 }  // namespace

@@ -548,6 +548,246 @@ TEST(Wire, GoldenStatsFrameIsByteStable) {
             frame);
 }
 
+// Every field of an ErrorStats set from `base`, so a moved field changes
+// the bytes.
+feedback::ErrorStats golden_error_stats(double base) {
+  feedback::ErrorStats s;
+  s.count = static_cast<std::size_t>(base);
+  s.mean_abs_s = base + 0.5;
+  s.mean_rel = base + 0.25;
+  s.p50_abs_s = base + 0.125;
+  s.p95_abs_s = base + 2.0;
+  s.p50_rel = base + 0.0625;
+  s.p95_rel = base + 4.0;
+  s.drifted = true;
+  return s;
+}
+
+serve::ServeResult golden_serve_result(int i) {
+  serve::ServeResult r;
+  r.status = serve::ServeStatus::kOk;
+  r.response.predicted_time_s = 321.5 + i;
+  r.response.triggered_offline_training = i == 0;
+  r.response.embedding_ms = 0.75 + i;
+  r.response.inference_ms = 0.03125;
+  r.cache_hit = i != 0;
+  r.confidence =
+      i == 1 ? serve::Confidence::kReused : serve::Confidence::kExact;
+  r.reuse_distance = i == 1 ? 0.015625 : 0.0;
+  r.queue_ms = 0.25 * i;
+  r.total_ms = 2.5 + i;
+  return r;
+}
+
+// A request body for `op` with every field its encoding carries set.
+Request golden_request(Op op) {
+  Request r;
+  r.op = op;
+  switch (op) {
+    case Op::kPredict:
+      r.deadline_ms = 125.5;
+      r.reqs = {make_request("resnet18", 2)};
+      break;
+    case Op::kPredictBatch:
+      r.deadline_ms = 75.0;
+      r.reqs = {make_request("alexnet", 1),
+                make_request("vgg11", 3, "e5_2630")};
+      r.reqs[1].workload.parallelism =
+          workload::ParallelismSpec::pipeline(2, 4);
+      break;
+    case Op::kObserve:
+      r.measured_s = 4321.125;
+      r.reqs = {make_request("resnet50", 2, "e5_2650")};
+      break;
+    case Op::kRefit:
+      r.dataset = "tiny_imagenet";
+      break;
+    case Op::kRetrain:
+      r.dataset = "wikitext103";
+      r.family = "bert";
+      break;
+    default:
+      break;
+  }
+  return r;
+}
+
+// A kOk response body for `op` with every field its encoding carries set.
+Response golden_ok_response(Op op) {
+  Response resp;
+  resp.op = op;
+  switch (op) {
+    case Op::kPredict:
+      resp.results = {golden_serve_result(0)};
+      break;
+    case Op::kPredictBatch:
+      resp.results = {golden_serve_result(0), golden_serve_result(1)};
+      resp.results[1].status = serve::ServeStatus::kDeadlineExceeded;
+      resp.results[1].error = "deadline expired in queue";
+      break;
+    case Op::kStats:
+      resp.stats = populated_snapshot();
+      break;
+    case Op::kObserve:
+      resp.observe.accepted = true;
+      resp.observe.predicted_s = 1000.5;
+      resp.observe.abs_error_s = 3320.625;
+      resp.observe.rel_error = 0.768;
+      resp.observe.drifted = true;
+      resp.observe.refit_triggered = true;
+      resp.observe.ghn_drift = true;
+      resp.observe.retrain_triggered = true;
+      resp.observe.reason = "accepted";
+      break;
+    case Op::kRefit:
+      resp.refit_started = true;
+      break;
+    case Op::kRefitStatus: {
+      feedback::RefitStatus& s = resp.refit;
+      s.started = 5;
+      s.completed = 3;
+      s.failed = 2;
+      s.in_progress = true;
+      s.queued = 4;
+      s.last_dataset = "cifar10";
+      s.last_campaign_rows = 56;
+      s.last_observation_rows = 17;
+      s.last_error = "refit for 'x' failed: no campaign";
+      s.datasets.push_back({"cifar10", 42, golden_error_stats(16)});
+      s.families.push_back({"wikitext103", "bert", 12, golden_error_stats(8),
+                            true, golden_error_stats(6), 2});
+      s.families.push_back({"cifar10", "resnet", 3, golden_error_stats(3),
+                            false, {}, 0});
+      break;
+    }
+    case Op::kRetrain:
+      resp.retrain_started = true;
+      break;
+    case Op::kRetrainStatus: {
+      feedback::RetrainStatus& s = resp.retrain;
+      s.generation = 3;
+      s.started = 4;
+      s.completed = 3;
+      s.failed = 1;
+      s.in_progress = true;
+      s.queued = 2;
+      s.last_dataset = "wikitext103";
+      s.last_family = "bert";
+      s.last_error = "retrain for 'x' failed: unknown dataset";
+      s.last_corpus_graphs = 12;
+      s.last_family_graphs = 5;
+      s.last_epochs_run = 6;
+      s.last_train_seconds = 1.75;
+      s.last_initial_loss = 0.9;
+      s.last_final_loss = 0.3;
+      s.live_checksum = 0xdeadbeefcafe1234ULL;
+      s.families.push_back({"wikitext103", "bert", golden_error_stats(4),
+                            golden_error_stats(5)});
+      break;
+    }
+    default:
+      break;
+  }
+  return resp;
+}
+
+// One pinned frame: its size, CRC trailer and FNV-1a hash.
+struct GoldenFrame {
+  std::string name;
+  std::string frame;
+  bool request;
+  std::size_t size;
+  std::uint32_t crc;
+  std::uint64_t hash;
+};
+
+// Request and kOk response frames of every op, plus the two non-ok
+// response shapes: an error status drops the payload of a status op, and
+// an overloaded predict_batch still carries its results.  Recorded from the
+// protocol-v8 encoder while each body was still written field by field.
+TEST(Wire, GoldenFramesForEveryOpAreByteStable) {
+  const auto req = [](Op op) {
+    return encode_frame(encode_request(golden_request(op)));
+  };
+  const auto ok = [](Op op) {
+    return encode_frame(encode_response(golden_ok_response(op)));
+  };
+  Response bad;
+  bad.op = Op::kRefitStatus;
+  bad.status = RpcStatus::kBadRequest;
+  bad.message = "model updates are not enabled on this server";
+  bad.refit = golden_ok_response(Op::kRefitStatus).refit;  // not sent
+  Response overloaded = golden_ok_response(Op::kPredictBatch);
+  overloaded.status = RpcStatus::kRejectedOverloaded;
+  overloaded.message = "admission queue at capacity";
+  for (serve::ServeResult& r : overloaded.results) {
+    r.status = serve::ServeStatus::kRejectedQueueFull;
+  }
+
+  const std::vector<GoldenFrame> rows = {
+      {"ping request", req(Op::kPing), true,
+       17, 0x2ae59479u, 0x677ad0bb38ed4d20ull},
+      {"predict request", req(Op::kPredict), true,
+       286, 0x9f1c0050u, 0x4fcd3b70bfbfb7bcull},
+      {"predict_batch request", req(Op::kPredictBatch), true,
+       568, 0x1ae3aec9u, 0xf60e0e826d16fb37ull},
+      {"stats request", req(Op::kStats), true,
+       17, 0xb3ecc5c3u, 0xdbcd86e9abf7d28eull},
+      {"shutdown request", req(Op::kShutdown), true,
+       17, 0x2d885060u, 0x5c475cb702d55b29ull},
+      {"observe request", req(Op::kObserve), true,
+       298, 0x6252d6c1u, 0xee7b05bfc1383760ull},
+      {"refit request", req(Op::kRefit), true,
+       34, 0xa8a98273u, 0x1fa47234102d8867ull},
+      {"refit_status request", req(Op::kRefitStatus), true,
+       17, 0xb48101dau, 0xa1d5530ae051be1full},
+      {"retrain request", req(Op::kRetrain), true,
+       40, 0xbcf38bb9u, 0xc66271293f686641ull},
+      {"retrain_status request", req(Op::kRetrainStatus), true,
+       17, 0x53392cddu, 0x4ea22e8e7b880810ull},
+      {"ping ok", ok(Op::kPing), false,
+       22, 0x225cc64au, 0x617d46d86cec3f37ull},
+      {"predict ok", ok(Op::kPredict), false,
+       82, 0xcac6eae4u, 0x57abb86480f93574ull},
+      {"predict_batch ok", ok(Op::kPredictBatch), false,
+       163, 0x4ef5e6aau, 0xb46f07c02c6bbc19ull},
+      {"stats ok", ok(Op::kStats), false,
+       1229, 0x38118460u, 0x8e90125e74796931ull},
+      {"shutdown ok", ok(Op::kShutdown), false,
+       22, 0xb9cd845cu, 0xfba71d86d8e29587ull},
+      {"observe ok", ok(Op::kObserve), false,
+       63, 0x820b49c7u, 0x12f5a26019c18363ull},
+      {"refit ok", ok(Op::kRefit), false,
+       23, 0x9170c1a9u, 0xd2afdc5225e4e008ull},
+      {"refit_status ok", ok(Op::kRefitStatus), false,
+       509, 0x491415f1u, 0x84d4625695c7abd5ull},
+      {"retrain ok", ok(Op::kRetrain), false,
+       23, 0xc14fbaf4u, 0xbb07a3daba1f2909ull},
+      {"retrain_status ok", ok(Op::kRetrainStatus), false,
+       322, 0xcedbdfbau, 0xfacd8b919d6be773ull},
+      {"refit_status bad_request", encode_frame(encode_response(bad)), false,
+       66, 0x030970ddu, 0x8ee01794e1b385f0ull},
+      {"predict_batch rejected_overloaded",
+       encode_frame(encode_response(overloaded)), false,
+       190, 0x0d930862u, 0xd742e5a20bc7e1efull},
+  };
+  for (const GoldenFrame& g : rows) {
+    SCOPED_TRACE(g.name);
+    EXPECT_EQ(g.frame.size(), g.size);
+    EXPECT_EQ(crc_trailer(g.frame), g.crc);
+    EXPECT_EQ(fnv1a64(g.frame), g.hash);
+    const std::string body = decode_frame(g.frame);
+    const std::string again =
+        g.request ? encode_request(decode_request(body))
+                  : encode_response(decode_response(body));
+    EXPECT_EQ(encode_frame(again), g.frame);
+  }
+  // The error status carries no payload: the body ends after the message.
+  EXPECT_EQ(decode_frame(rows[20].frame).size(), 2 + 4 + bad.message.size());
+  // The overloaded frame still carries both results.
+  EXPECT_EQ(decode_response(decode_frame(rows[21].frame)).results.size(), 2u);
+}
+
 // ---- wire format: adversarial ----
 
 std::string valid_frame_bytes() {
