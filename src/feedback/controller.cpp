@@ -25,6 +25,22 @@ constexpr double kFineTuneClipNorm = 5.0;
 // first); keeps one noisy family from dominating the fine-tune.
 constexpr std::size_t kMaxFamilyGraphs = 64;
 
+// The "retrain/state" section: the retrain history (RetrainStatus minus
+// the live fields) and the before-swap windows, in both directions.
+template <class Stream, class Status, class Windows>
+void walk_retrain_state(Stream& s, Status& st, Windows& before) {
+  io::header(s, kRetrainStateMagic, kRetrainStateVersion, kRetrainStateVersion,
+             "retrain state");
+  io::fields(s, st.generation, st.started, st.completed, st.failed,
+             st.last_dataset, st.last_family, st.last_error,
+             st.last_corpus_graphs, st.last_family_graphs, st.last_epochs_run,
+             st.last_train_seconds, st.last_initial_loss, st.last_final_loss);
+  io::seq(s, before, 4096, "before-swap window", [](auto& s, auto& kv) {
+    io::fields(s, kv.first.first, kv.first.second);
+    walk(s, kv.second);
+  });
+}
+
 // Family id for the per-family decomposition; models outside both
 // registries (NAS candidates, ad-hoc graphs) pool under "custom".
 std::string family_of(const std::string& model) {
@@ -424,58 +440,18 @@ void FeedbackController::wait_idle() {
 void FeedbackController::save(io::SnapshotWriter& snap) const {
   log_.save(snap.add(kObservationSection));
   std::lock_guard<std::mutex> lock(mutex_);
-  io::BinaryWriter& w = snap.add(kRetrainStateSection);
-  w.magic(kRetrainStateMagic);
-  w.u32(kRetrainStateVersion);
-  w.u64(retrain_.generation);
-  w.u64(retrain_.started);
-  w.u64(retrain_.completed);
-  w.u64(retrain_.failed);
-  w.str(retrain_.last_dataset);
-  w.str(retrain_.last_family);
-  w.str(retrain_.last_error);
-  w.u64(retrain_.last_corpus_graphs);
-  w.u64(retrain_.last_family_graphs);
-  w.i32(retrain_.last_epochs_run);
-  w.f64(retrain_.last_train_seconds);
-  w.f64(retrain_.last_initial_loss);
-  w.f64(retrain_.last_final_loss);
-  w.u32(static_cast<std::uint32_t>(before_errors_.size()));
-  for (const auto& [key, stats] : before_errors_) {
-    w.str(key.first);
-    w.str(key.second);
-    write_error_stats(w, stats);
-  }
+  walk_retrain_state(snap.add(kRetrainStateSection), retrain_, before_errors_);
 }
 
 std::size_t FeedbackController::load(const io::SnapshotReader& snap) {
   if (snap.has(kRetrainStateSection)) {
     io::BinaryReader r = snap.reader(kRetrainStateSection);
-    r.expect_magic(kRetrainStateMagic, "retrain state");
-    const std::uint32_t version = r.u32();
-    PDDL_CHECK(version == kRetrainStateVersion,
-               "retrain state: unsupported version " + std::to_string(version));
+    RetrainStatus st;
+    std::map<Key, ErrorStats> before;
+    walk_retrain_state(r, st, before);
     std::lock_guard<std::mutex> lock(mutex_);
-    retrain_.generation = r.u64();
-    retrain_.started = r.u64();
-    retrain_.completed = r.u64();
-    retrain_.failed = r.u64();
-    retrain_.last_dataset = r.str();
-    retrain_.last_family = r.str();
-    retrain_.last_error = r.str();
-    retrain_.last_corpus_graphs = r.u64();
-    retrain_.last_family_graphs = r.u64();
-    retrain_.last_epochs_run = r.i32();
-    retrain_.last_train_seconds = r.f64();
-    retrain_.last_initial_loss = r.f64();
-    retrain_.last_final_loss = r.f64();
-    before_errors_.clear();
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      std::string ds = r.str();
-      Key key(std::move(ds), r.str());
-      before_errors_[std::move(key)] = read_error_stats(r);
-    }
+    retrain_ = std::move(st);
+    before_errors_ = std::move(before);
   }
   if (!snap.has(kObservationSection)) return 0;
   io::BinaryReader r = snap.reader(kObservationSection);

@@ -8,30 +8,6 @@
 
 namespace pddl::feedback {
 
-void write_error_stats(io::BinaryWriter& w, const ErrorStats& s) {
-  w.u64(s.count);
-  w.f64(s.mean_abs_s);
-  w.f64(s.mean_rel);
-  w.f64(s.p50_abs_s);
-  w.f64(s.p95_abs_s);
-  w.f64(s.p50_rel);
-  w.f64(s.p95_rel);
-  w.boolean(s.drifted);
-}
-
-ErrorStats read_error_stats(io::BinaryReader& r) {
-  ErrorStats s;
-  s.count = r.u64();
-  s.mean_abs_s = r.f64();
-  s.mean_rel = r.f64();
-  s.p50_abs_s = r.f64();
-  s.p95_abs_s = r.f64();
-  s.p50_rel = r.f64();
-  s.p95_rel = r.f64();
-  s.drifted = r.boolean();
-  return s;
-}
-
 DriftDetector::DriftDetector(DriftConfig cfg) : cfg_(cfg) {
   PDDL_CHECK(cfg_.window > 0, "drift window must be positive");
   PDDL_CHECK(cfg_.min_count > 0 && cfg_.min_count <= cfg_.window,

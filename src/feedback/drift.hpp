@@ -15,7 +15,7 @@
 #include <cstddef>
 #include <deque>
 
-#include "io/binary.hpp"
+#include "io/walk.hpp"
 
 namespace pddl::feedback {
 
@@ -37,10 +37,13 @@ struct ErrorStats {
   bool drifted = false;
 };
 
-// The one ErrorStats codec, shared by the rpc status ops and the
+// The one ErrorStats encoding, shared by the rpc status ops and the
 // "retrain/state" snapshot section: every field, in declaration order.
-void write_error_stats(io::BinaryWriter& w, const ErrorStats& s);
-ErrorStats read_error_stats(io::BinaryReader& r);
+template <class Stream, io::Walks<ErrorStats> T>
+void walk(Stream& s, T& e) {
+  io::fields(s, e.count, e.mean_abs_s, e.mean_rel, e.p50_abs_s, e.p95_abs_s,
+             e.p50_rel, e.p95_rel, e.drifted);
+}
 
 class DriftDetector {
  public:

@@ -42,40 +42,29 @@ std::vector<Observation> ObservationLog::for_dataset(
   return out;
 }
 
+namespace {
+// The section layout (see the header comment), in both directions.
+template <class Stream, class Seq, class Records>
+void walk_section(Stream& s, Seq& next_seq, Records& records) {
+  const std::uint32_t version = io::header(
+      s, kObservationMagic, 1, kObservationLogVersion, "observation log");
+  io::field(s, next_seq);
+  io::seq(s, records, 1u << 22, "observation", [&](auto& s, auto& obs) {
+    core::walk(s, obs.request, /*with_parallelism=*/version >= 2);
+    io::fields(s, obs.measured_s, obs.predicted_s, obs.seq);
+  });
+}
+}  // namespace
+
 void ObservationLog::save(io::BinaryWriter& w) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  w.magic(kObservationMagic);
-  w.u32(kObservationLogVersion);
-  w.u64(next_seq_);
-  w.u32(static_cast<std::uint32_t>(log_.size()));
-  for (const Observation& obs : log_) {
-    core::write_predict_request(w, obs.request);
-    w.f64(obs.measured_s);
-    w.f64(obs.predicted_s);
-    w.u64(obs.seq);
-  }
+  walk_section(w, next_seq_, log_);
 }
 
 void ObservationLog::load(io::BinaryReader& r) {
-  r.expect_magic(kObservationMagic, "observation log");
-  const std::uint32_t version = r.u32();
-  PDDL_CHECK(version >= 1 && version <= kObservationLogVersion, r.what(),
-             ": unsupported observation log version ", version,
-             " (this build reads versions 1..", kObservationLogVersion, ")");
-  const std::uint64_t next_seq = r.u64();
-  const std::uint32_t count = r.u32();
-  PDDL_CHECK(count <= (1u << 22), r.what(),
-             ": unreasonable observation count ", count);
+  std::uint64_t next_seq = 0;
   std::deque<Observation> loaded;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Observation obs;
-    obs.request = core::read_predict_request(r, /*with_parallelism=*/
-                                             version >= 2);
-    obs.measured_s = r.f64();
-    obs.predicted_s = r.f64();
-    obs.seq = r.u64();
-    loaded.push_back(std::move(obs));
-  }
+  walk_section(r, next_seq, loaded);
   std::lock_guard<std::mutex> lock(mutex_);
   log_ = std::move(loaded);
   while (log_.size() > capacity_) log_.pop_front();

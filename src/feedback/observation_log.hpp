@@ -1,16 +1,17 @@
 // Bounded append-only log of observed training runs.
 //
 // Each record pairs the request that was served (workload + cluster, encoded
-// with the same core/predict_io.hpp codec the rpc layer frames on the wire)
+// by the same core/predict_io.hpp walk the rpc layer frames on the wire)
 // with the measured training time reported back by the scheduler and the
 // prediction that was live when the observation arrived.  The log is the
 // ground-truth store the refit path trains on, so it persists through the
-// io snapshot layer: save() emits one CRC-covered section payload
+// io snapshot layer: save() and load() run one walk over one CRC-covered
+// section payload
 //
 //   magic "PDOB" | u32 version | u64 next seq | u32 count
 //   per record:   PredictRequest | f64 measured_s | f64 predicted_s | u64 seq
 //
-// and load() restores it bit-identically (truncation / corruption surface as
+// so load() restores it bit-identically (truncation / corruption surface as
 // pddl::Error before any record is trusted).  Capacity is a ring bound: the
 // oldest records fall off first, keeping the refit window recent and the
 // snapshot size flat.

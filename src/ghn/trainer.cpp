@@ -162,22 +162,4 @@ TrainReport GhnTrainer::train(ThreadPool& pool) {
   return report;
 }
 
-double GhnTrainer::evaluate(const std::vector<CompGraph>& graphs) {
-  PDDL_CHECK(!graphs.empty(), "evaluate: empty graph set");
-  double total = 0.0;
-  std::vector<Matrix> unused;
-  for (const CompGraph& g : graphs) {
-    // Reuse the loss path but skip backward: cheaper to just recompute.
-    Vector t = complexity_targets(g);
-    for (std::size_t k = 0; k < kNumTargets; ++k) {
-      t[k] = (t[k] - target_mean_[k]) / target_std_[k];
-    }
-    nn::Ctx ctx;
-    ag::Var pred = head_.forward(ctx, ghn_.embed(ctx, g));
-    ag::Var loss = ag::mse(pred, ctx.constant(Matrix::row_vector(t)));
-    total += loss.value()(0, 0);
-  }
-  return total / static_cast<double>(graphs.size());
-}
-
 }  // namespace pddl::ghn

@@ -64,9 +64,6 @@ class GhnTrainer {
   // gradients).  A run is bit-reproducible from (weights, corpus, seed).
   TrainReport train(ThreadPool& pool);
 
-  // Mean multi-task MSE of the (trained) GHN+head on held-out graphs.
-  double evaluate(const std::vector<graph::CompGraph>& graphs);
-
  private:
   // Loss of one graph on a fresh tape; fills `grads` (one per parameter).
   double graph_loss_and_grads(const graph::CompGraph& g,

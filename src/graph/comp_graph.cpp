@@ -88,12 +88,6 @@ void CompGraph::validate() const {
   }
 }
 
-std::vector<int> CompGraph::topo_order() const {
-  std::vector<int> order(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) order[i] = static_cast<int>(i);
-  return order;
-}
-
 Matrix CompGraph::adjacency() const {
   const std::size_t n = nodes_.size();
   Matrix a(n, n);

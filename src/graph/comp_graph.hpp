@@ -69,10 +69,6 @@ class CompGraph {
   // everything reachable from the source and co-reachable from the sink.
   void validate() const;
 
-  // Topological order (node ids are constructed in topological order, so
-  // this is the identity permutation; kept explicit for clarity and tests).
-  std::vector<int> topo_order() const;
-
   // Binary adjacency matrix A (row = from, col = to).
   Matrix adjacency() const;
 

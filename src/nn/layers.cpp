@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <istream>
 #include <ostream>
 
-#include "common/atomic_file.hpp"
 #include "io/tensor_io.hpp"
 
 namespace pddl::nn {
@@ -64,24 +62,6 @@ Var Linear::forward(Ctx& ctx, Var x) {
   return y;
 }
 
-void Linear::forward_row(const double* x, double* y) const {
-  const std::size_t in = w_.rows(), out = w_.cols();
-  std::fill(y, y + out, 0.0);
-  // Same operation order as the tape path — ascending-k accumulation first
-  // (matmul), bias added afterwards (add_row_broadcast) — so the row
-  // matches forward() bit-for-bit.
-  for (std::size_t k = 0; k < in; ++k) {
-    const double xk = x[k];
-    if (xk == 0.0) continue;
-    const double* wrow = w_.row_ptr(k);
-    for (std::size_t j = 0; j < out; ++j) y[j] += xk * wrow[j];
-  }
-  if (has_bias_) {
-    const double* b = b_.data();
-    for (std::size_t j = 0; j < out; ++j) y[j] += b[j];
-  }
-}
-
 std::vector<Matrix*> Linear::parameters() {
   std::vector<Matrix*> ps{&w_};
   if (has_bias_) ps.push_back(&b_);
@@ -109,24 +89,6 @@ std::size_t Mlp::max_width() const {
   std::size_t w = in_features();
   for (const Linear& l : layers_) w = std::max(w, l.out_features());
   return w;
-}
-
-void Mlp::forward_row(const double* x, double* y, double* scratch) const {
-  const std::size_t half = max_width();
-  double* ping = scratch;
-  double* pong = scratch + half;
-  const double* cur = x;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    double* dst = i + 1 == layers_.size() ? y : (i % 2 == 0 ? ping : pong);
-    layers_[i].forward_row(cur, dst);
-    if (i + 1 < layers_.size()) {
-      const std::size_t w = layers_[i].out_features();
-      for (std::size_t j = 0; j < w; ++j) {
-        dst[j] = activate_scalar(dst[j], hidden_act_);
-      }
-    }
-    cur = dst;
-  }
 }
 
 std::vector<Matrix*> Mlp::parameters() {
@@ -202,20 +164,6 @@ void save_parameters(std::ostream& os, const std::vector<const Matrix*>& ps) {
 void load_parameters(std::istream& is, const std::vector<Matrix*>& ps) {
   io::BinaryReader r(is, "parameter stream");
   load_parameters(r, ps);
-}
-
-void save_parameters_file(const std::string& path, Module& m) {
-  auto ps = m.parameters();
-  std::string bytes;
-  io::BinaryWriter w(bytes);
-  save_parameters(w, {ps.begin(), ps.end()});
-  io::write_file_atomic(path, bytes);
-}
-
-void load_parameters_file(const std::string& path, Module& m) {
-  std::ifstream is(path, std::ios::binary);
-  PDDL_CHECK(is.good(), "cannot open for read: ", path);
-  load_parameters(is, m.parameters());
 }
 
 }  // namespace pddl::nn

@@ -54,11 +54,6 @@ class Linear final : public Module {
   Var forward(Ctx& ctx, Var x);
   std::vector<Matrix*> parameters() override;
 
-  // Tape-free single-row forward: y[0..out) = x·W (+ b), with x holding
-  // in_features() doubles.  Summation order matches the tape path exactly
-  // (ascending k), so results are bit-identical to forward().
-  void forward_row(const double* x, double* y) const;
-
   std::size_t in_features() const { return w_.rows(); }
   std::size_t out_features() const { return w_.cols(); }
 
@@ -83,10 +78,6 @@ class Mlp final : public Module {
 
   Var forward(Ctx& ctx, Var x);
   std::vector<Matrix*> parameters() override;
-
-  // Tape-free single-row forward (bit-identical to forward()).  `scratch`
-  // must hold at least 2 × max_width() doubles; y needs out_features().
-  void forward_row(const double* x, double* y, double* scratch) const;
 
   std::size_t in_features() const { return layers_.front().in_features(); }
   std::size_t out_features() const { return layers_.back().out_features(); }
@@ -146,7 +137,5 @@ void save_parameters(io::BinaryWriter& w, const std::vector<const Matrix*>& ps);
 void load_parameters(io::BinaryReader& r, const std::vector<Matrix*>& ps);
 void save_parameters(std::ostream& os, const std::vector<const Matrix*>& ps);
 void load_parameters(std::istream& is, const std::vector<Matrix*>& ps);
-void save_parameters_file(const std::string& path, Module& m);
-void load_parameters_file(const std::string& path, Module& m);
 
 }  // namespace pddl::nn

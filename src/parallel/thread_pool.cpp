@@ -52,9 +52,4 @@ void ThreadPool::wait_idle() {
   idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
-ThreadPool& global_pool() {
-  static ThreadPool pool;
-  return pool;
-}
-
 }  // namespace pddl

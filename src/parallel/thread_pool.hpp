@@ -96,7 +96,4 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-// Global pool shared by library components that parallelise internally.
-ThreadPool& global_pool();
-
 }  // namespace pddl

@@ -19,26 +19,6 @@ RegressionData RegressionData::subset(
   return out;
 }
 
-RegressionData merge(const RegressionData& a, const RegressionData& b) {
-  if (a.size() == 0) return b;
-  if (b.size() == 0) return a;
-  PDDL_CHECK(a.num_features() == b.num_features(),
-             "merge: feature width mismatch (", a.num_features(), " vs ",
-             b.num_features(), ")");
-  RegressionData out;
-  out.x = Matrix(a.size() + b.size(), a.num_features());
-  out.y.resize(a.size() + b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    out.x.set_row(i, a.x.row(i));
-    out.y[i] = a.y[i];
-  }
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    out.x.set_row(a.size() + i, b.x.row(i));
-    out.y[a.size() + i] = b.y[i];
-  }
-  return out;
-}
-
 TrainTestSplit train_test_split(const RegressionData& data,
                                 double train_fraction, std::uint64_t seed) {
   PDDL_CHECK(train_fraction > 0.0 && train_fraction < 1.0,

@@ -22,12 +22,6 @@ struct RegressionData {
   RegressionData subset(const std::vector<std::size_t>& idx) const;
 };
 
-// Row-wise concatenation (a's rows first).  Either side may be empty; when
-// both are non-empty their feature widths must agree.  This is the refit
-// entry point for merging a measurement campaign with accepted online
-// observations into one training set.
-RegressionData merge(const RegressionData& a, const RegressionData& b);
-
 struct TrainTestSplit {
   RegressionData train;
   RegressionData test;

@@ -125,9 +125,7 @@ bool Server::send_response(const Socket& sock, const Response& resp) {
 Response Server::execute(Request& req) {
   Response resp;
   resp.op = req.op;
-  const bool update_op =
-      req.op >= Op::kObserve && req.op <= Op::kRetrainStatus;
-  if (update_op && feedback_ == nullptr) {
+  if (needs_feedback(req.op) && feedback_ == nullptr) {
     resp.status = RpcStatus::kBadRequest;
     resp.message = "model updates are not enabled on this server";
     return resp;

@@ -1,50 +1,10 @@
 #include "rpc/wire.hpp"
 
+#include <iterator>
+#include <tuple>
 #include <type_traits>
 
 namespace pddl::rpc {
-
-const char* to_string(Op op) {
-  switch (op) {
-    case Op::kPing:
-      return "ping";
-    case Op::kPredict:
-      return "predict";
-    case Op::kPredictBatch:
-      return "predict_batch";
-    case Op::kStats:
-      return "stats";
-    case Op::kShutdown:
-      return "shutdown";
-    case Op::kObserve:
-      return "observe";
-    case Op::kRefit:
-      return "refit";
-    case Op::kRefitStatus:
-      return "refit_status";
-    case Op::kRetrain:
-      return "retrain";
-    case Op::kRetrainStatus:
-      return "retrain_status";
-  }
-  return "unknown";
-}
-
-const char* to_string(RpcStatus status) {
-  switch (status) {
-    case RpcStatus::kOk:
-      return "ok";
-    case RpcStatus::kRejectedOverloaded:
-      return "rejected_overloaded";
-    case RpcStatus::kBadRequest:
-      return "bad_request";
-    case RpcStatus::kShuttingDown:
-      return "shutting_down";
-    case RpcStatus::kInternalError:
-      return "internal_error";
-  }
-  return "unknown";
-}
 
 // ---- frame envelope ----
 
@@ -97,443 +57,261 @@ std::string decode_frame(const std::string& frame, std::size_t max_frame) {
   return body;
 }
 
-// ---- field-level payload codecs ----
+// ---- payload walks ----
 
-// The PredictRequest encoding is owned by core (core/predict_io.hpp) so the
-// feedback observation log shares it byte-for-byte; these wrappers keep the
-// rpc-level names that the wire tests and codecs use.
-void write_predict_request(io::BinaryWriter& w, const core::PredictRequest& r) {
-  core::write_predict_request(w, r);
-}
-
-core::PredictRequest read_predict_request(io::BinaryReader& r) {
-  return core::read_predict_request(r);
-}
-
-void write_serve_result(io::BinaryWriter& w, const serve::ServeResult& r) {
-  w.u8(static_cast<std::uint8_t>(r.status));
-  w.f64(r.response.predicted_time_s);
-  w.boolean(r.response.triggered_offline_training);
-  w.f64(r.response.embedding_ms);
-  w.f64(r.response.inference_ms);
-  w.boolean(r.cache_hit);
-  w.u8(static_cast<std::uint8_t>(r.confidence));
-  w.f64(r.reuse_distance);
-  w.f64(r.queue_ms);
-  w.f64(r.total_ms);
-  w.str(r.error);
-}
-
-serve::ServeResult read_serve_result(io::BinaryReader& r) {
-  serve::ServeResult out;
-  const std::uint8_t status = r.u8();
-  PDDL_CHECK(status <= static_cast<std::uint8_t>(serve::ServeStatus::kError),
-             r.what(), ": invalid serve status byte ", int{status});
-  out.status = static_cast<serve::ServeStatus>(status);
-  out.response.predicted_time_s = r.f64();
-  out.response.triggered_offline_training = r.boolean();
-  out.response.embedding_ms = r.f64();
-  out.response.inference_ms = r.f64();
-  out.cache_hit = r.boolean();
-  const std::uint8_t confidence = r.u8();
-  PDDL_CHECK(
-      confidence <= static_cast<std::uint8_t>(serve::Confidence::kReused),
-      r.what(), ": invalid confidence byte ", int{confidence});
-  out.confidence = static_cast<serve::Confidence>(confidence);
-  out.reuse_distance = r.f64();
-  out.queue_ms = r.f64();
-  out.total_ms = r.f64();
-  out.error = r.str();
-  return out;
-}
-
-// The stats encoding is the metrics table (serve::for_each_field) walked in
-// row order, derived rows skipped.  Writing and reading share the walk, so
-// the two directions cannot disagree on the field order.
 namespace {
-void field(io::BinaryWriter& w, const std::uint64_t& v) { w.u64(v); }
-void field(io::BinaryReader& r, std::uint64_t& v) { v = r.u64(); }
-void field(io::BinaryWriter& w, const double& v) { w.f64(v); }
-void field(io::BinaryReader& r, double& v) { v = r.f64(); }
-void field(io::BinaryWriter& w, const std::string& v) { w.str(v); }
-void field(io::BinaryReader& r, std::string& v) { v = r.str(); }
 
-// Histograms stat by stat, per-size count arrays slot by slot.
-template <class Stream, class T>
-void field(Stream& s, T& v) {
-  if constexpr (serve::HistogramSnapshot<T>) {
-    serve::for_each_stat(v, [&](const char*, auto& x) { field(s, x); });
-  } else {
-    for (auto& c : v) field(s, c);
-  }
+template <class Stream, io::Walks<serve::ServeResult> T>
+void walk(Stream& s, T& r) {
+  io::enum_field(s, r.status, serve::ServeStatus::kError, "serve status");
+  io::fields(s, r.response.predicted_time_s,
+             r.response.triggered_offline_training, r.response.embedding_ms,
+             r.response.inference_ms, r.cache_hit);
+  io::enum_field(s, r.confidence, serve::Confidence::kReused, "confidence");
+  io::fields(s, r.reuse_distance, r.queue_ms, r.total_ms, r.error);
 }
 
-template <class Stream, class Snapshot>
-void walk_metrics(Stream& s, Snapshot& m) {
+// The stats payload is the metrics table (serve::for_each_field) walked in
+// row order, derived rows skipped: histograms stat by stat, per-size count
+// arrays slot by slot.
+template <class Stream, io::Walks<serve::MetricsSnapshot> T>
+void walk(Stream& s, T& m) {
   serve::for_each_field([&](const char*, const char*, auto member, auto) {
     if constexpr (!std::is_member_function_pointer_v<decltype(member)>) {
-      field(s, m.*member);
+      auto& v = m.*member;
+      using V = std::remove_cvref_t<decltype(v)>;
+      if constexpr (serve::HistogramSnapshot<V>) {
+        serve::for_each_stat(v,
+                             [&](const char*, auto& x) { io::field(s, x); });
+      } else if constexpr (requires { std::tuple_size<V>::value; }) {
+        for (auto& c : v) io::field(s, c);
+      } else {
+        io::field(s, v);
+      }
     }
   });
 }
-}  // namespace
 
-void write_metrics(io::BinaryWriter& w, const serve::MetricsSnapshot& m) {
-  walk_metrics(w, m);
+template <class Stream, io::Walks<feedback::ObserveOutcome> T>
+void walk(Stream& s, T& o) {
+  io::fields(s, o.accepted, o.predicted_s, o.abs_error_s, o.rel_error,
+             o.drifted, o.refit_triggered, o.ghn_drift, o.retrain_triggered,
+             o.reason);
 }
 
-serve::MetricsSnapshot read_metrics(io::BinaryReader& r) {
-  serve::MetricsSnapshot m;
-  walk_metrics(r, m);
-  return m;
+template <class Stream, io::Walks<feedback::RefitStatus> T>
+void walk(Stream& s, T& st) {
+  io::fields(s, st.started, st.completed, st.failed, st.in_progress,
+             st.queued, st.last_dataset, st.last_campaign_rows,
+             st.last_observation_rows, st.last_error);
+  io::seq(s, st.datasets, 4096, "dataset", [](auto& s, auto& d) {
+    io::fields(s, d.dataset, d.observations);
+    feedback::walk(s, d.errors);
+  });
+  io::seq(s, st.families, 4096, "family", [](auto& s, auto& f) {
+    io::fields(s, f.dataset, f.family, f.observations);
+    feedback::walk(s, f.errors);
+    io::field(s, f.ghn_drift);
+    feedback::walk(s, f.pre_swap);
+    io::field(s, f.swaps);
+  });
 }
 
-void write_observe_outcome(io::BinaryWriter& w,
-                           const feedback::ObserveOutcome& o) {
-  w.boolean(o.accepted);
-  w.f64(o.predicted_s);
-  w.f64(o.abs_error_s);
-  w.f64(o.rel_error);
-  w.boolean(o.drifted);
-  w.boolean(o.refit_triggered);
-  w.boolean(o.ghn_drift);
-  w.boolean(o.retrain_triggered);
-  w.str(o.reason);
+template <class Stream, io::Walks<feedback::RetrainStatus> T>
+void walk(Stream& s, T& st) {
+  io::fields(s, st.generation, st.started, st.completed, st.failed,
+             st.in_progress, st.queued, st.last_dataset, st.last_family,
+             st.last_error, st.last_corpus_graphs, st.last_family_graphs,
+             st.last_epochs_run, st.last_train_seconds, st.last_initial_loss,
+             st.last_final_loss, st.live_checksum);
+  io::seq(s, st.families, 4096, "family", [](auto& s, auto& d) {
+    io::fields(s, d.dataset, d.family);
+    feedback::walk(s, d.before);
+    feedback::walk(s, d.after);
+  });
 }
 
-feedback::ObserveOutcome read_observe_outcome(io::BinaryReader& r) {
-  feedback::ObserveOutcome o;
-  o.accepted = r.boolean();
-  o.predicted_s = r.f64();
-  o.abs_error_s = r.f64();
-  o.rel_error = r.f64();
-  o.drifted = r.boolean();
-  o.refit_triggered = r.boolean();
-  o.ghn_drift = r.boolean();
-  o.retrain_triggered = r.boolean();
-  o.reason = r.str();
-  return o;
-}
-
-void write_refit_status(io::BinaryWriter& w, const feedback::RefitStatus& s) {
-  w.u64(s.started);
-  w.u64(s.completed);
-  w.u64(s.failed);
-  w.boolean(s.in_progress);
-  w.u64(s.queued);
-  w.str(s.last_dataset);
-  w.u64(s.last_campaign_rows);
-  w.u64(s.last_observation_rows);
-  w.str(s.last_error);
-  w.u32(static_cast<std::uint32_t>(s.datasets.size()));
-  for (const feedback::DatasetFeedback& d : s.datasets) {
-    w.str(d.dataset);
-    w.u64(d.observations);
-    feedback::write_error_stats(w, d.errors);
+// kPredict and kObserve carry exactly one PredictRequest, with no count.
+template <class Stream, io::Walks<Request> T>
+void one_request(Stream& s, T& q) {
+  if constexpr (io::kWriting<Stream>) {
+    PDDL_CHECK(q.reqs.size() == 1, "rpc ", to_string(q.op),
+               " request must carry exactly one PredictRequest, got ",
+               q.reqs.size());
+  } else {
+    q.reqs.resize(1);
   }
-  w.u32(static_cast<std::uint32_t>(s.families.size()));
-  for (const feedback::FamilyFeedback& f : s.families) {
-    w.str(f.dataset);
-    w.str(f.family);
-    w.u64(f.observations);
-    feedback::write_error_stats(w, f.errors);
-    w.boolean(f.ghn_drift);
-    feedback::write_error_stats(w, f.pre_swap);
-    w.u64(f.swaps);
-  }
+  core::walk(s, q.reqs.front());
 }
 
-feedback::RefitStatus read_refit_status(io::BinaryReader& r) {
-  feedback::RefitStatus s;
-  s.started = r.u64();
-  s.completed = r.u64();
-  s.failed = r.u64();
-  s.in_progress = r.boolean();
-  s.queued = r.u64();
-  s.last_dataset = r.str();
-  s.last_campaign_rows = r.u64();
-  s.last_observation_rows = r.u64();
-  s.last_error = r.str();
-  const std::uint32_t n = r.u32();
-  PDDL_CHECK(n <= 4096, r.what(), ": unreasonable dataset count ", n);
-  s.datasets.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    feedback::DatasetFeedback d;
-    d.dataset = r.str();
-    d.observations = r.u64();
-    d.errors = feedback::read_error_stats(r);
-    s.datasets.push_back(std::move(d));
+// Both instantiations of one generic payload walk, as function pointers a
+// constexpr table can hold.  An empty walk is an empty payload.
+template <class M>
+struct PayloadWalk {
+  void (*write)(io::BinaryWriter&, const M&) = nullptr;
+  void (*read)(io::BinaryReader&, M&) = nullptr;
+
+  void operator()(io::BinaryWriter& w, const M& m) const {
+    if (write != nullptr) write(w, m);
   }
-  const std::uint32_t nf = r.u32();
-  PDDL_CHECK(nf <= 4096, r.what(), ": unreasonable family count ", nf);
-  s.families.reserve(nf);
-  for (std::uint32_t i = 0; i < nf; ++i) {
-    feedback::FamilyFeedback f;
-    f.dataset = r.str();
-    f.family = r.str();
-    f.observations = r.u64();
-    f.errors = feedback::read_error_stats(r);
-    f.ghn_drift = r.boolean();
-    f.pre_swap = feedback::read_error_stats(r);
-    f.swaps = r.u64();
-    s.families.push_back(std::move(f));
+  void operator()(io::BinaryReader& r, M& m) const {
+    if (read != nullptr) read(r, m);
   }
-  return s;
+};
+
+template <class M, class F>
+constexpr PayloadWalk<M> payload(F) {
+  return {[](io::BinaryWriter& w, const M& m) { F{}(w, m); },
+          [](io::BinaryReader& r, M& m) { F{}(r, m); }};
 }
 
-void write_retrain_status(io::BinaryWriter& w,
-                          const feedback::RetrainStatus& s) {
-  w.u64(s.generation);
-  w.u64(s.started);
-  w.u64(s.completed);
-  w.u64(s.failed);
-  w.boolean(s.in_progress);
-  w.u64(s.queued);
-  w.str(s.last_dataset);
-  w.str(s.last_family);
-  w.str(s.last_error);
-  w.u64(s.last_corpus_graphs);
-  w.u64(s.last_family_graphs);
-  w.i32(s.last_epochs_run);
-  w.f64(s.last_train_seconds);
-  w.f64(s.last_initial_loss);
-  w.f64(s.last_final_loss);
-  w.u64(s.live_checksum);
-  w.u32(static_cast<std::uint32_t>(s.families.size()));
-  for (const feedback::FamilyErrorDelta& d : s.families) {
-    w.str(d.dataset);
-    w.str(d.family);
-    feedback::write_error_stats(w, d.before);
-    feedback::write_error_stats(w, d.after);
+// Request payloads.
+constexpr auto kPredictRequest = payload<Request>([](auto& s, auto& q) {
+  io::field(s, q.deadline_ms);
+  one_request(s, q);
+});
+constexpr auto kBatchRequest = payload<Request>([](auto& s, auto& q) {
+  io::field(s, q.deadline_ms);
+  io::seq(s, q.reqs, kMaxBatchRequests, "batch request",
+          [](auto& s, auto& r) { core::walk(s, r); });
+});
+constexpr auto kObserveRequest = payload<Request>([](auto& s, auto& q) {
+  io::field(s, q.measured_s);
+  one_request(s, q);
+});
+constexpr auto kRefitRequest =
+    payload<Request>([](auto& s, auto& q) { io::field(s, q.dataset); });
+constexpr auto kRetrainRequest = payload<Request>(
+    [](auto& s, auto& q) { io::fields(s, q.dataset, q.family); });
+
+// Response payloads.
+constexpr auto kResults = payload<Response>([](auto& s, auto& p) {
+  io::seq(s, p.results, kMaxBatchRequests, "result",
+          [](auto& s, auto& r) { walk(s, r); });
+});
+constexpr auto kStats =
+    payload<Response>([](auto& s, auto& p) { walk(s, p.stats); });
+constexpr auto kObserveOutcome =
+    payload<Response>([](auto& s, auto& p) { walk(s, p.observe); });
+constexpr auto kRefitStarted =
+    payload<Response>([](auto& s, auto& p) { io::field(s, p.refit_started); });
+constexpr auto kRefitStatus =
+    payload<Response>([](auto& s, auto& p) { walk(s, p.refit); });
+constexpr auto kRetrainStarted = payload<Response>(
+    [](auto& s, auto& p) { io::field(s, p.retrain_started); });
+constexpr auto kRetrainStatus =
+    payload<Response>([](auto& s, auto& p) { walk(s, p.retrain); });
+
+struct OpRow {
+  Op op;
+  const char* name;
+  PayloadWalk<Request> request;
+  PayloadWalk<Response> response;
+  bool only_on_ok;      // a non-ok response ends after its message
+  bool needs_feedback;  // served only with a feedback controller attached
+};
+
+// The op table: the spec for every body (see wire.hpp), one row per Op
+// value, in order.  {} is an empty payload.
+constexpr OpRow kOps[] = {
+    // op, name, request payload, response payload,
+    // only_on_ok, needs_feedback
+    {Op::kPing,          "ping",           {},               {},
+     false, false},
+    {Op::kPredict,       "predict",        kPredictRequest,  kResults,
+     false, false},
+    {Op::kPredictBatch,  "predict_batch",  kBatchRequest,    kResults,
+     false, false},
+    {Op::kStats,         "stats",          {},               kStats,
+     true, false},
+    {Op::kShutdown,      "shutdown",       {},               {},
+     false, false},
+    {Op::kObserve,       "observe",        kObserveRequest,  kObserveOutcome,
+     true, true},
+    {Op::kRefit,         "refit",          kRefitRequest,    kRefitStarted,
+     true, true},
+    {Op::kRefitStatus,   "refit_status",   {},               kRefitStatus,
+     true, true},
+    {Op::kRetrain,       "retrain",        kRetrainRequest,  kRetrainStarted,
+     true, true},
+    {Op::kRetrainStatus, "retrain_status", {},               kRetrainStatus,
+     true, true},
+};
+constexpr Op kLastOp = kOps[std::size(kOps) - 1].op;
+
+constexpr bool rows_in_op_order() {
+  for (std::size_t i = 0; i < std::size(kOps); ++i) {
+    if (static_cast<std::size_t>(kOps[i].op) != i) return false;
   }
+  return true;
+}
+static_assert(rows_in_op_order(), "kOps rows must follow the Op values");
+
+const OpRow& row(Op op) {
+  const auto i = static_cast<std::size_t>(op);
+  PDDL_CHECK(i < std::size(kOps), "unknown rpc op ", i);
+  return kOps[i];
 }
 
-feedback::RetrainStatus read_retrain_status(io::BinaryReader& r) {
-  feedback::RetrainStatus s;
-  s.generation = r.u64();
-  s.started = r.u64();
-  s.completed = r.u64();
-  s.failed = r.u64();
-  s.in_progress = r.boolean();
-  s.queued = r.u64();
-  s.last_dataset = r.str();
-  s.last_family = r.str();
-  s.last_error = r.str();
-  s.last_corpus_graphs = r.u64();
-  s.last_family_graphs = r.u64();
-  s.last_epochs_run = r.i32();
-  s.last_train_seconds = r.f64();
-  s.last_initial_loss = r.f64();
-  s.last_final_loss = r.f64();
-  s.live_checksum = r.u64();
-  const std::uint32_t n = r.u32();
-  PDDL_CHECK(n <= 4096, r.what(), ": unreasonable family count ", n);
-  s.families.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    feedback::FamilyErrorDelta d;
-    d.dataset = r.str();
-    d.family = r.str();
-    d.before = feedback::read_error_stats(r);
-    d.after = feedback::read_error_stats(r);
-    s.families.push_back(std::move(d));
-  }
-  return s;
+template <class Stream, io::Walks<Request> T>
+void walk(Stream& s, T& q) {
+  io::enum_field(s, q.op, kLastOp, "rpc op");
+  row(q.op).request(s, q);
 }
 
-// ---- request / response bodies ----
+template <class Stream, io::Walks<Response> T>
+void walk(Stream& s, T& p) {
+  io::enum_field(s, p.op, kLastOp, "rpc op");
+  io::enum_field(s, p.status, RpcStatus::kInternalError, "rpc status");
+  io::field(s, p.message);
+  const OpRow& op = row(p.op);
+  if (p.status == RpcStatus::kOk || !op.only_on_ok) op.response(s, p);
+}
 
-namespace {
-Op read_op(io::BinaryReader& r) {
-  const std::uint8_t op = r.u8();
-  PDDL_CHECK(op <= static_cast<std::uint8_t>(Op::kRetrainStatus), r.what(),
-             ": unknown rpc op byte ", int{op});
-  return static_cast<Op>(op);
+template <class Body>
+std::string encode(const Body& b) {
+  std::string body;
+  io::BinaryWriter w(body);
+  walk(w, b);
+  return body;
 }
 
 // A body must be consumed exactly: leftover bytes mean the two endpoints
 // disagree about the encoding, which should fail loudly, not silently.
-void expect_fully_consumed(io::BinaryReader& r) {
+template <class Body>
+Body decode(const std::string& body, const char* what) {
+  io::BinaryReader r(body.data(), body.size(), what);
+  Body b;
+  walk(r, b);
   PDDL_CHECK(r.at_end(), r.what(), ": trailing bytes after the body");
+  return b;
 }
 }  // namespace
 
-std::string encode_request(const Request& req) {
-  if (req.op == Op::kPredict || req.op == Op::kObserve) {
-    PDDL_CHECK(req.reqs.size() == 1, "rpc ", to_string(req.op),
-               " request must carry exactly one PredictRequest, got ",
-               req.reqs.size());
-  }
-  PDDL_CHECK(req.reqs.size() <= kMaxBatchRequests,
-             "rpc batch of ", req.reqs.size(), " requests exceeds the ",
-             kMaxBatchRequests, "-request bound");
-  std::string body;
-  io::BinaryWriter w(body);
-  w.u8(static_cast<std::uint8_t>(req.op));
-  switch (req.op) {
-    case Op::kPredict:
-      w.f64(req.deadline_ms);
-      rpc::write_predict_request(w, req.reqs.front());
-      break;
-    case Op::kPredictBatch:
-      w.f64(req.deadline_ms);
-      w.u32(static_cast<std::uint32_t>(req.reqs.size()));
-      for (const core::PredictRequest& r : req.reqs) {
-        rpc::write_predict_request(w, r);
-      }
-      break;
-    case Op::kObserve:
-      w.f64(req.measured_s);
-      rpc::write_predict_request(w, req.reqs.front());
-      break;
-    case Op::kRefit:
-      w.str(req.dataset);
-      break;
-    case Op::kRetrain:
-      w.str(req.dataset);
-      w.str(req.family);
-      break;
-    case Op::kPing:
-    case Op::kStats:
-    case Op::kShutdown:
-    case Op::kRefitStatus:
-    case Op::kRetrainStatus:
-      break;
-  }
-  return body;
+const char* to_string(Op op) {
+  const auto i = static_cast<std::size_t>(op);
+  return i < std::size(kOps) ? kOps[i].name : "unknown";
 }
+
+bool needs_feedback(Op op) { return row(op).needs_feedback; }
+
+const char* to_string(RpcStatus status) {
+  constexpr const char* kNames[] = {"ok", "rejected_overloaded", "bad_request",
+                                    "shutting_down", "internal_error"};
+  const auto i = static_cast<std::size_t>(status);
+  return i < std::size(kNames) ? kNames[i] : "unknown";
+}
+
+std::string encode_request(const Request& req) { return encode(req); }
 
 Request decode_request(const std::string& body) {
-  io::BinaryReader r(body.data(), body.size(), "rpc request");
-  Request req;
-  req.op = read_op(r);
-  switch (req.op) {
-    case Op::kPredict:
-      req.deadline_ms = r.f64();
-      req.reqs.push_back(read_predict_request(r));
-      break;
-    case Op::kPredictBatch: {
-      req.deadline_ms = r.f64();
-      const std::uint32_t n = r.u32();
-      PDDL_CHECK(n <= kMaxBatchRequests, r.what(), ": batch of ", n,
-                 " requests exceeds the ", kMaxBatchRequests,
-                 "-request bound");
-      req.reqs.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        req.reqs.push_back(read_predict_request(r));
-      }
-      break;
-    }
-    case Op::kObserve:
-      req.measured_s = r.f64();
-      req.reqs.push_back(read_predict_request(r));
-      break;
-    case Op::kRefit:
-      req.dataset = r.str();
-      break;
-    case Op::kRetrain:
-      req.dataset = r.str();
-      req.family = r.str();
-      break;
-    case Op::kPing:
-    case Op::kStats:
-    case Op::kShutdown:
-    case Op::kRefitStatus:
-    case Op::kRetrainStatus:
-      break;
-  }
-  expect_fully_consumed(r);
-  return req;
+  return decode<Request>(body, "rpc request");
 }
 
-std::string encode_response(const Response& resp) {
-  std::string body;
-  io::BinaryWriter w(body);
-  w.u8(static_cast<std::uint8_t>(resp.op));
-  w.u8(static_cast<std::uint8_t>(resp.status));
-  w.str(resp.message);
-  switch (resp.op) {
-    case Op::kPredict:
-    case Op::kPredictBatch:
-      w.u32(static_cast<std::uint32_t>(resp.results.size()));
-      for (const serve::ServeResult& r : resp.results) {
-        write_serve_result(w, r);
-      }
-      break;
-    case Op::kStats:
-      if (resp.status == RpcStatus::kOk) write_metrics(w, resp.stats);
-      break;
-    case Op::kObserve:
-      if (resp.status == RpcStatus::kOk) {
-        write_observe_outcome(w, resp.observe);
-      }
-      break;
-    case Op::kRefit:
-      if (resp.status == RpcStatus::kOk) w.boolean(resp.refit_started);
-      break;
-    case Op::kRefitStatus:
-      if (resp.status == RpcStatus::kOk) write_refit_status(w, resp.refit);
-      break;
-    case Op::kRetrain:
-      if (resp.status == RpcStatus::kOk) w.boolean(resp.retrain_started);
-      break;
-    case Op::kRetrainStatus:
-      if (resp.status == RpcStatus::kOk) write_retrain_status(w, resp.retrain);
-      break;
-    case Op::kPing:
-    case Op::kShutdown:
-      break;
-  }
-  return body;
-}
+std::string encode_response(const Response& resp) { return encode(resp); }
 
 Response decode_response(const std::string& body) {
-  io::BinaryReader r(body.data(), body.size(), "rpc response");
-  Response resp;
-  resp.op = read_op(r);
-  const std::uint8_t status = r.u8();
-  PDDL_CHECK(
-      status <= static_cast<std::uint8_t>(RpcStatus::kInternalError),
-      r.what(), ": unknown rpc status byte ", int{status});
-  resp.status = static_cast<RpcStatus>(status);
-  resp.message = r.str();
-  switch (resp.op) {
-    case Op::kPredict:
-    case Op::kPredictBatch: {
-      const std::uint32_t n = r.u32();
-      PDDL_CHECK(n <= kMaxBatchRequests, r.what(), ": batch of ", n,
-                 " results exceeds the ", kMaxBatchRequests, "-result bound");
-      resp.results.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        resp.results.push_back(read_serve_result(r));
-      }
-      break;
-    }
-    case Op::kStats:
-      if (resp.status == RpcStatus::kOk) resp.stats = read_metrics(r);
-      break;
-    case Op::kObserve:
-      if (resp.status == RpcStatus::kOk) {
-        resp.observe = read_observe_outcome(r);
-      }
-      break;
-    case Op::kRefit:
-      if (resp.status == RpcStatus::kOk) resp.refit_started = r.boolean();
-      break;
-    case Op::kRefitStatus:
-      if (resp.status == RpcStatus::kOk) resp.refit = read_refit_status(r);
-      break;
-    case Op::kRetrain:
-      if (resp.status == RpcStatus::kOk) resp.retrain_started = r.boolean();
-      break;
-    case Op::kRetrainStatus:
-      if (resp.status == RpcStatus::kOk) resp.retrain = read_retrain_status(r);
-      break;
-    case Op::kPing:
-    case Op::kShutdown:
-      break;
-  }
-  expect_fully_consumed(r);
-  return resp;
+  return decode<Response>(body, "rpc response");
 }
 
 }  // namespace pddl::rpc

@@ -15,30 +15,17 @@
 // body length is bounded (kMaxFrameBytes) so a hostile length prefix is
 // rejected before any allocation.
 //
-// Bodies are op-tagged.  A request body is
+// Bodies are op-tagged:
 //
-//   u8 op | op-specific payload
-//     kPing          (empty)
-//     kPredict       f64 deadline_ms | PredictRequest
-//     kPredictBatch  f64 deadline_ms | u32 n | n × PredictRequest
-//     kStats         (empty)
-//     kShutdown      (empty)
-//     kObserve       f64 measured_s | PredictRequest
-//     kRefit         str dataset
-//     kRefitStatus   (empty)
-//     kRetrain       str dataset | str family
-//     kRetrainStatus (empty)
+//   request   u8 op | request payload
+//   response  u8 op (echo) | u8 rpc status | str message | response payload
 //
-// and a response body is
-//
-//   u8 op (echo) | u8 rpc status | str message | op-specific payload
-//     kPredict / kPredictBatch   u32 n | n × ServeResult
-//     kStats (status ok)         MetricsSnapshot
-//     kObserve (status ok)       ObserveOutcome
-//     kRefit (status ok)         bool refit_started
-//     kRefitStatus (status ok)   RefitStatus
-//     kRetrain (status ok)       bool retrain_started
-//     kRetrainStatus (status ok) RetrainStatus
+// The op table in wire.cpp (kOps) is the spec for the payloads: one row
+// per op holds its name, its request and response walks (io/walk.hpp:
+// one function runs both directions), whether a non-ok response drops the
+// payload, and whether the server needs a feedback controller to serve
+// it.  A new op is a new row; a changed payload is a changed walk and a
+// kProtocolVersion bump.
 //
 // Versioning policy: kProtocolVersion bumps on any incompatible body or
 // envelope change; both endpoints reject mismatched versions with a typed
@@ -86,8 +73,6 @@ inline constexpr std::size_t kFrameOverheadBytes = kFramePrefixBytes + 4;
 inline constexpr std::size_t kMaxFrameBytes = 8u << 20;
 // Per-frame request-count bound for kPredictBatch.
 inline constexpr std::uint32_t kMaxBatchRequests = 4096;
-// Per-cluster server-count bound (the paper's clusters top out at 60).
-inline constexpr std::uint32_t kMaxClusterServers = core::kMaxClusterServers;
 
 enum class Op : std::uint8_t {
   kPing = 0,
@@ -103,6 +88,9 @@ enum class Op : std::uint8_t {
   kRetrainStatus = 9,  // retrain-loop status (generation, before/after error)
 };
 const char* to_string(Op op);
+// True for the model-update ops, which a server serves only with a
+// feedback controller attached.
+bool needs_feedback(Op op);
 
 // Transport/envelope-level status.  Request-level outcomes (untrained
 // dataset, deadline expired, queue full, …) travel inside each ServeResult;
@@ -165,26 +153,5 @@ Request decode_request(const std::string& body);
 
 std::string encode_response(const Response& resp);
 Response decode_response(const std::string& body);
-
-// ---- field-level payload codecs (shared by both directions; exposed for
-// tests) ----
-void write_predict_request(io::BinaryWriter& w, const core::PredictRequest& r);
-core::PredictRequest read_predict_request(io::BinaryReader& r);
-
-void write_serve_result(io::BinaryWriter& w, const serve::ServeResult& r);
-serve::ServeResult read_serve_result(io::BinaryReader& r);
-
-void write_metrics(io::BinaryWriter& w, const serve::MetricsSnapshot& m);
-serve::MetricsSnapshot read_metrics(io::BinaryReader& r);
-
-void write_observe_outcome(io::BinaryWriter& w,
-                           const feedback::ObserveOutcome& o);
-feedback::ObserveOutcome read_observe_outcome(io::BinaryReader& r);
-
-void write_refit_status(io::BinaryWriter& w, const feedback::RefitStatus& s);
-feedback::RefitStatus read_refit_status(io::BinaryReader& r);
-
-void write_retrain_status(io::BinaryWriter& w, const feedback::RetrainStatus& s);
-feedback::RetrainStatus read_retrain_status(io::BinaryReader& r);
 
 }  // namespace pddl::rpc

@@ -82,11 +82,6 @@ void PredictionService::stop() {
   }
 }
 
-void PredictionService::pause() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  paused_ = true;
-}
-
 void PredictionService::resume() {
   {
     std::lock_guard<std::mutex> lock(mutex_);

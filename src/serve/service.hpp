@@ -152,9 +152,9 @@ class PredictionService {
   void save_cache(const std::string& path) const;
   std::size_t load_cache(const std::string& path);
 
-  // Halt / restart dispatch.  Admission stays open while paused, so queued
-  // requests accumulate (and can expire or trigger backpressure).
-  void pause();
+  // Restart dispatch of a service built with start_paused.  Admission stays
+  // open while paused, so queued requests accumulate (and can expire or
+  // trigger backpressure).
   void resume();
 
   // Stop admission and drain: dispatchers finish every queued request, then

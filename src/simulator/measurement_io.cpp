@@ -1,6 +1,5 @@
 #include "simulator/measurement_io.hpp"
 
-#include <fstream>
 #include <sstream>
 
 #include "cluster/cluster.hpp"
@@ -170,12 +169,6 @@ void save_measurements_csv_file(const std::string& path,
   std::ostringstream os;
   save_measurements_csv(os, ms);
   io::write_file_atomic(path, os.str());
-}
-
-std::vector<Measurement> load_measurements_csv_file(const std::string& path) {
-  std::ifstream is(path);
-  PDDL_CHECK(is.good(), "cannot open for read: ", path);
-  return load_measurements_csv(is);
 }
 
 }  // namespace pddl::sim

@@ -30,6 +30,5 @@ std::vector<Measurement> load_measurements_csv(std::istream& is);
 
 void save_measurements_csv_file(const std::string& path,
                                 const std::vector<Measurement>& ms);
-std::vector<Measurement> load_measurements_csv_file(const std::string& path);
 
 }  // namespace pddl::sim

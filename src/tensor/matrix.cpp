@@ -251,13 +251,6 @@ double dot(const Vector& a, const Vector& b) {
 
 double norm2(const Vector& a) { return std::sqrt(dot(a, a)); }
 
-Vector vadd(const Vector& a, const Vector& b) {
-  PDDL_CHECK(a.size() == b.size(), "vadd size mismatch");
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-  return out;
-}
-
 Vector vsub(const Vector& a, const Vector& b) {
   PDDL_CHECK(a.size() == b.size(), "vsub size mismatch");
   Vector out(a.size());

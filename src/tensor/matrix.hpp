@@ -140,7 +140,6 @@ Vector matvec_transposed(const Matrix& a, const Vector& x);
 // Vector helpers.
 double dot(const Vector& a, const Vector& b);
 double norm2(const Vector& a);
-Vector vadd(const Vector& a, const Vector& b);
 Vector vsub(const Vector& a, const Vector& b);
 Vector vscale(const Vector& a, double s);
 // a += s·b.
