@@ -41,24 +41,19 @@ Var Ghn2::embed(nn::Ctx& ctx, const CompGraph& g) {
   }
 
   // Virtual-edge neighbour lists: (u, 1/s_vu) for 1 < s_vu ≤ s_max.
-  // fw uses distances u→v (u is "upstream"), bw uses v→u.
+  // fw uses distances u→v (u is "upstream"), bw uses v→u; both u-ascending,
+  // the order the inference engine accumulates in.
   std::vector<std::vector<std::pair<int, double>>> vfw, vbw;
   if (cfg_.virtual_edges) {
-    const auto sp = g.shortest_paths();
     vfw.resize(static_cast<std::size_t>(n));
     vbw.resize(static_cast<std::size_t>(n));
-    for (int v = 0; v < n; ++v) {
-      for (int u = 0; u < n; ++u) {
-        const int s_uv = sp[static_cast<std::size_t>(u)][static_cast<std::size_t>(v)];
-        if (s_uv > 1 && s_uv <= cfg_.s_max) {
-          vfw[static_cast<std::size_t>(v)].push_back({u, 1.0 / s_uv});
-        }
-        const int s_vu = sp[static_cast<std::size_t>(v)][static_cast<std::size_t>(u)];
-        if (s_vu > 1 && s_vu <= cfg_.s_max) {
-          vbw[static_cast<std::size_t>(v)].push_back({u, 1.0 / s_vu});
-        }
-      }
-    }
+    std::vector<int> dist(static_cast<std::size_t>(n), -1);
+    std::vector<int> queue(static_cast<std::size_t>(n));
+    graph::for_each_virtual_edge(
+        g, cfg_.s_max, dist.data(), queue.data(), [&](int s, int t, int d) {
+          vfw[static_cast<std::size_t>(t)].push_back({s, 1.0 / d});
+          vbw[static_cast<std::size_t>(s)].push_back({t, 1.0 / d});
+        });
   }
 
   const Matrix zero_msg(1, cfg_.hidden_dim);

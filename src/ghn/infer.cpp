@@ -256,25 +256,8 @@ void GhnInference::embed_batch_impl(const WeightsT<T>& w,
   // Features are computed in double (the tape's arithmetic) and narrowed on
   // store, so f32 rounds inputs once instead of compounding per term.
   T* feats = arena_take<T>(arena, N * F);
-  std::fill(feats, feats + N * F, T(0));
   for (std::size_t g = 0; g < G; ++g) {
-    const CompGraph& cg = *graphs[g];
-    const std::size_t n = cg.num_nodes();
-    const double total_flops =
-        static_cast<double>(std::max<std::int64_t>(1, cg.total_flops()));
-    T* grows = feats + static_cast<std::size_t>(off[g]) * F;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& nd = cg.node(static_cast<int>(i));
-      T* row = grows + i * F;
-      row[static_cast<std::size_t>(nd.type)] = T(1);
-      row[graph::kNumOpTypes + 0] = static_cast<T>(
-          std::log1p(static_cast<double>(nd.out_shape.c)) / 8.0);
-      row[graph::kNumOpTypes + 1] = static_cast<T>(
-          std::log1p(static_cast<double>(nd.attrs.kernel * nd.attrs.kernel)) /
-          4.0);
-      row[graph::kNumOpTypes + 2] =
-          static_cast<T>(static_cast<double>(nd.flops) / total_flops);
-    }
+    graphs[g]->node_features_into(feats + static_cast<std::size_t>(off[g]) * F);
   }
   T* h = arena_take<T>(arena, N * H);
   k_gemm(feats, N, F, w.embed_w.data(), H, h);
@@ -284,17 +267,13 @@ void GhnInference::embed_batch_impl(const WeightsT<T>& w,
     for (std::size_t j = 0; j < H; ++j) hrow[j] += eb[j];
   }
 
-  // ---- virtual edges (Eq. 4): per-graph BFS → one global CSR ----
-  // Only hops 1 < d ≤ s_max matter, so each source's BFS stops expanding at
-  // depth s_max and touches just that neighborhood instead of the whole
-  // graph — no n×n hop matrix, no n² count/fill scans (for a ~700-node
-  // densenet this is the difference between ~2M scan steps and a few
-  // thousand).  One shared dist row is −1 outside the BFS and reset via the
-  // queue (the exact touched set).  fw lists pair global row off[g]+v with
-  // its upstream sources off[g]+u (dist u→v), bw with downstream ones,
-  // sources u-ascending per graph exactly like the tape path so message
-  // accumulation order is preserved: fw order comes from the ascending
-  // source loop, bw order from sorting each source's touched set.
+  // ---- virtual edges (Eq. 4): per-graph builder → one global CSR ----
+  // graph::for_each_virtual_edge is the tape's builder too: a depth-capped
+  // BFS per source (only hops 1 < d ≤ s_max matter, so no n×n hop matrix),
+  // emitting sources ascending and each source's targets ascending.  fw
+  // lists pair global row off[g]+v with its upstream sources off[g]+u
+  // (dist u→v), bw with downstream ones, u-ascending per graph exactly like
+  // the tape's lists, so message accumulation order is preserved.
   int* fw_off = nullptr;
   int* fw_u = nullptr;
   T* fw_w = nullptr;
@@ -305,27 +284,6 @@ void GhnInference::embed_batch_impl(const WeightsT<T>& w,
     int* dist = arena.ints(max_n);
     int* queue = arena.ints(max_n);
     std::fill(dist, dist + max_n, -1);
-    // BFS over out_edges from s, depth-capped at s_max (a node at depth
-    // s_max is recorded but not expanded, so every dist ≤ s_max is exact).
-    // Returns the queue length; queue[0..qt) is the touched set, queue[0]=s.
-    auto bfs_source = [dist, queue, s_max = cfg_.s_max](const CompGraph& cg,
-                                                        std::size_t s) {
-      dist[s] = 0;
-      std::size_t qh = 0, qt = 0;
-      queue[qt++] = static_cast<int>(s);
-      while (qh < qt) {
-        const int u = queue[qh++];
-        const int du = dist[u];
-        if (du >= s_max) continue;
-        for (int v : cg.out_edges(u)) {
-          if (dist[v] < 0) {
-            dist[v] = du + 1;
-            queue[qt++] = v;
-          }
-        }
-      }
-      return qt;
-    };
     fw_off = arena.ints(N + 1);
     bw_off = arena.ints(N + 1);
     std::fill(fw_off, fw_off + N + 1, 0);
@@ -333,23 +291,12 @@ void GhnInference::embed_batch_impl(const WeightsT<T>& w,
     // Count pass: fw_off[r+1]/bw_off[r+1] hold per-node degrees until the
     // prefix sum below turns them into offsets.
     for (std::size_t g = 0; g < G; ++g) {
-      const CompGraph& cg = *graphs[g];
-      const std::size_t n = cg.num_nodes();
-      const std::size_t base = static_cast<std::size_t>(off[g]);
-      for (std::size_t s = 0; s < n; ++s) {
-        const std::size_t qt = bfs_source(cg, s);
-        int cb = 0;
-        for (std::size_t i = 1; i < qt; ++i) {
-          const int t = queue[i];
-          if (dist[t] > 1) {
-            ++cb;
-            ++fw_off[base + static_cast<std::size_t>(t) + 1];
-          }
-          dist[t] = -1;
-        }
-        dist[s] = -1;
-        bw_off[base + s + 1] = cb;
-      }
+      const int base = off[g];
+      graph::for_each_virtual_edge(*graphs[g], cfg_.s_max, dist, queue,
+                                   [&](int s, int t, int) {
+                                     ++fw_off[base + t + 1];
+                                     ++bw_off[base + s + 1];
+                                   });
     }
     for (std::size_t r = 0; r < N; ++r) {
       fw_off[r + 1] += fw_off[r];
@@ -361,31 +308,19 @@ void GhnInference::embed_batch_impl(const WeightsT<T>& w,
     bw_w = arena_take<T>(arena, static_cast<std::size_t>(bw_off[N]));
     int* fw_fill = arena.ints(N);
     std::copy(fw_off, fw_off + N, fw_fill);
-    // Fill pass: re-run each (cheap) BFS; sorting the touched set makes the
-    // bw sublist u-ascending, and the ascending source loop makes every fw
-    // sublist u-ascending without any per-target sort.
+    // Fill pass: the emission order is the bw CSR order (global row, then
+    // target), so bw entries append; fw entries scatter to their target.
+    int pb = 0;
     for (std::size_t g = 0; g < G; ++g) {
-      const CompGraph& cg = *graphs[g];
-      const std::size_t n = cg.num_nodes();
-      const std::size_t base = static_cast<std::size_t>(off[g]);
-      for (std::size_t s = 0; s < n; ++s) {
-        const std::size_t qt = bfs_source(cg, s);
-        std::sort(queue + 1, queue + qt);
-        int pb = bw_off[base + s];
-        for (std::size_t i = 1; i < qt; ++i) {
-          const int t = queue[i];
-          const int d = dist[t];
-          if (d > 1) {
-            const int pf = fw_fill[base + static_cast<std::size_t>(t)]++;
-            fw_u[pf] = static_cast<int>(base + s);
+      const int base = off[g];
+      graph::for_each_virtual_edge(
+          *graphs[g], cfg_.s_max, dist, queue, [&](int s, int t, int d) {
+            const int pf = fw_fill[base + t]++;
+            fw_u[pf] = base + s;
             fw_w[pf] = static_cast<T>(1.0 / d);
-            bw_u[pb] = static_cast<int>(base + static_cast<std::size_t>(t));
+            bw_u[pb] = base + t;
             bw_w[pb++] = static_cast<T>(1.0 / d);
-          }
-          dist[t] = -1;
-        }
-        dist[s] = -1;
-      }
+          });
     }
   }
 

@@ -5,7 +5,10 @@
 // *edge* per traversal even though a node's state is frozen once its own
 // update ran.  Inference needs none of that.  GhnInference snapshots the
 // GHN's parameters once (weights pre-transposed for unit-stride dot
-// micro-kernels) and then evaluates the identical arithmetic with
+// micro-kernels) and then evaluates the identical arithmetic on the tape's
+// own graph-side inputs (CompGraph::node_features_into for H₀,
+// graph::for_each_virtual_edge for the Eq. 4 virtual edges, emitted in the
+// order that keeps message sums bit-exact) with
 //
 //   1. per-pass message memoization — MLP(h_u) / MLP_sp(h_u) computed
 //      lazily once per node per traversal direction and reused by every

@@ -87,17 +87,12 @@ void GhnTrainer::fit_standardization() {
   }
 }
 
-double GhnTrainer::graph_loss_and_grads(const CompGraph& g,
+double GhnTrainer::graph_loss_and_grads(std::size_t i,
                                         std::vector<Matrix>& grads) {
-  // Targets for held-out graphs are computed on the fly.
-  Vector t = complexity_targets(g);
-  for (std::size_t k = 0; k < kNumTargets; ++k) {
-    t[k] = (t[k] - target_mean_[k]) / target_std_[k];
-  }
   nn::Ctx ctx;
-  ag::Var emb = ghn_.embed(ctx, g);
+  ag::Var emb = ghn_.embed(ctx, corpus_[i]);
   ag::Var pred = head_.forward(ctx, emb);
-  ag::Var loss = ag::mse(pred, ctx.constant(Matrix::row_vector(t)));
+  ag::Var loss = ag::mse(pred, ctx.constant(Matrix::row_vector(targets_[i])));
   const double loss_val = loss.value()(0, 0);
   ctx.backward(loss);
   grads.clear();
@@ -130,8 +125,7 @@ TrainReport GhnTrainer::train(ThreadPool& pool) {
       std::vector<std::vector<Matrix>> batch_grads(bs);
       std::vector<double> batch_loss(bs);
       parallel_for(pool, 0, bs, [&](std::size_t i) {
-        batch_loss[i] = graph_loss_and_grads(corpus_[order[start + i]],
-                                             batch_grads[i]);
+        batch_loss[i] = graph_loss_and_grads(order[start + i], batch_grads[i]);
       });
       // Average gradients across the batch and step once.
       std::vector<Matrix> total = std::move(batch_grads[0]);

@@ -65,9 +65,9 @@ class GhnTrainer {
   TrainReport train(ThreadPool& pool);
 
  private:
-  // Loss of one graph on a fresh tape; fills `grads` (one per parameter).
-  double graph_loss_and_grads(const graph::CompGraph& g,
-                              std::vector<Matrix>& grads);
+  // Loss of corpus graph i on a fresh tape; fills `grads` (one per
+  // parameter).
+  double graph_loss_and_grads(std::size_t i, std::vector<Matrix>& grads);
   // Fits target_mean_/target_std_ on corpus_ and fills targets_.
   void fit_standardization();
 

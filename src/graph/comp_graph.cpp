@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <sstream>
 
 namespace pddl::graph {
@@ -88,53 +87,32 @@ void CompGraph::validate() const {
   }
 }
 
-Matrix CompGraph::adjacency() const {
-  const std::size_t n = nodes_.size();
-  Matrix a(n, n);
-  for (std::size_t to = 0; to < n; ++to) {
-    for (int from : in_edges_[to]) {
-      a(static_cast<std::size_t>(from), to) = 1.0;
-    }
-  }
-  return a;
-}
-
 Matrix CompGraph::node_features() const {
-  const std::size_t n = nodes_.size();
-  const double total = static_cast<double>(std::max<std::int64_t>(1, total_flops()));
-  Matrix h0(n, kNodeFeatureDim);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Node& nd = nodes_[i];
-    h0(i, static_cast<std::size_t>(nd.type)) = 1.0;
-    // Structural scalars, log-scaled to keep magnitudes comparable.
-    h0(i, kNumOpTypes + 0) = std::log1p(static_cast<double>(nd.out_shape.c)) / 8.0;
-    h0(i, kNumOpTypes + 1) =
-        std::log1p(static_cast<double>(nd.attrs.kernel * nd.attrs.kernel)) / 4.0;
-    h0(i, kNumOpTypes + 2) = static_cast<double>(nd.flops) / total;
-  }
+  Matrix h0(nodes_.size(), kNodeFeatureDim);
+  node_features_into(h0.data());
   return h0;
 }
 
-std::vector<std::vector<int>> CompGraph::shortest_paths() const {
+template <typename T>
+void CompGraph::node_features_into(T* out) const {
   const std::size_t n = nodes_.size();
-  std::vector<std::vector<int>> dist(n, std::vector<int>(n, -1));
-  for (std::size_t s = 0; s < n; ++s) {
-    dist[s][s] = 0;
-    std::deque<int> queue{static_cast<int>(s)};
-    while (!queue.empty()) {
-      const int u = queue.front();
-      queue.pop_front();
-      for (int v : out_edges_[static_cast<std::size_t>(u)]) {
-        if (dist[s][static_cast<std::size_t>(v)] < 0) {
-          dist[s][static_cast<std::size_t>(v)] =
-              dist[s][static_cast<std::size_t>(u)] + 1;
-          queue.push_back(v);
-        }
-      }
-    }
+  const double total = static_cast<double>(std::max<std::int64_t>(1, total_flops()));
+  std::fill(out, out + n * kNodeFeatureDim, T(0));
+  for (std::size_t i = 0; i < n; ++i) {
+    const Node& nd = nodes_[i];
+    T* row = out + i * kNodeFeatureDim;
+    row[static_cast<std::size_t>(nd.type)] = T(1);
+    // Structural scalars, log-scaled to keep magnitudes comparable.
+    row[kNumOpTypes + 0] =
+        static_cast<T>(std::log1p(static_cast<double>(nd.out_shape.c)) / 8.0);
+    row[kNumOpTypes + 1] = static_cast<T>(
+        std::log1p(static_cast<double>(nd.attrs.kernel * nd.attrs.kernel)) / 4.0);
+    row[kNumOpTypes + 2] = static_cast<T>(static_cast<double>(nd.flops) / total);
   }
-  return dist;
 }
+
+template void CompGraph::node_features_into<double>(double*) const;
+template void CompGraph::node_features_into<float>(float*) const;
 
 std::int64_t CompGraph::total_params() const {
   std::int64_t s = 0;

@@ -8,6 +8,7 @@
 // (b) the GHN surrogate-training targets are derived from them.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -69,19 +70,17 @@ class CompGraph {
   // everything reachable from the source and co-reachable from the sink.
   void validate() const;
 
-  // Binary adjacency matrix A (row = from, col = to).
-  Matrix adjacency() const;
-
   // Initial node features H₀: one-hot op type concatenated with three
   // log-scaled structural scalars (out-channels, kernel area, FLOPs share)
   // that let the GHN distinguish a 3×3/64-ch conv from a 7×7/512-ch one.
   // Shape: |V| × (kNumOpTypes + 3).
   Matrix node_features() const;
   static constexpr std::size_t kNodeFeatureDim = kNumOpTypes + 3;
-
-  // All-pairs shortest-path hop counts along directed edges (BFS per node);
-  // unreachable pairs get -1.  Used for GHN-2 virtual edges (Eq. 4).
-  std::vector<std::vector<int>> shortest_paths() const;
+  // The same rows written into out[0, |V|·kNodeFeatureDim), row-major and
+  // zero-filled first.  Computed in double; T = float narrows on store, so
+  // an f32 consumer rounds each feature once.
+  template <typename T>
+  void node_features_into(T* out) const;
 
   // ---- whole-graph analytics ----
   std::int64_t total_params() const;
@@ -106,5 +105,52 @@ class CompGraph {
   std::vector<std::vector<int>> out_edges_;
   std::size_t num_edges_ = 0;
 };
+
+// GHN-2 virtual edges (Eq. 4): calls emit(s, t, d) for every pair whose
+// directed hop count d = dist(s → t) satisfies 1 < d ≤ s_max, sources s
+// ascending and each source's targets t ascending.  One BFS per source,
+// depth-capped at s_max: a node at depth s_max is recorded but not
+// expanded, so every reported d is exact.  `dist` and `queue` are caller
+// scratch of g.num_nodes() ints; `dist` must be all −1 on entry and is all
+// −1 again on return (reset through the queue, the exact touched set).
+template <typename Emit>
+void for_each_virtual_edge(const CompGraph& g, int s_max, int* dist,
+                           int* queue, Emit&& emit) {
+  const int n = static_cast<int>(g.num_nodes());
+  for (int s = 0; s < n; ++s) {
+    dist[s] = 0;
+    std::size_t qh = 0, qt = 0;
+    queue[qt++] = s;
+    while (qh < qt) {
+      const int u = queue[qh++];
+      const int du = dist[u];
+      if (du >= s_max) continue;
+      for (int v : g.out_edges(u)) {
+        if (dist[v] < 0) {
+          dist[v] = du + 1;
+          queue[qt++] = v;
+        }
+      }
+    }
+    // Keep the targets beyond one hop (compacting in place: k < i always),
+    // release the rest, then emit in ascending target order.
+    std::size_t k = 0;
+    for (std::size_t i = 1; i < qt; ++i) {
+      const int t = queue[i];
+      if (dist[t] > 1) {
+        queue[k++] = t;
+      } else {
+        dist[t] = -1;
+      }
+    }
+    dist[s] = -1;
+    std::sort(queue, queue + k);
+    for (std::size_t i = 0; i < k; ++i) {
+      const int t = queue[i];
+      emit(s, t, dist[t]);
+      dist[t] = -1;
+    }
+  }
+}
 
 }  // namespace pddl::graph

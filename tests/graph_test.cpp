@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "graph/builder.hpp"
 #include "graph/comp_graph.hpp"
@@ -112,20 +115,6 @@ TEST(GraphBuilder, FinishAppendsHeadAndValidates) {
   EXPECT_EQ(last.out_shape.c, 10);
 }
 
-TEST(CompGraph, AdjacencyMatchesEdges) {
-  GraphBuilder b("t", {3, 8, 8});
-  int a = b.conv(b.input(), 8, 3, 1);
-  int c = b.relu(a);
-  (void)c;
-  CompGraph g = std::move(b).finish(4);
-  Matrix adj = g.adjacency();
-  EXPECT_EQ(adj.rows(), g.num_nodes());
-  double edge_count = adj.sum();
-  EXPECT_DOUBLE_EQ(edge_count, static_cast<double>(g.num_edges()));
-  EXPECT_DOUBLE_EQ(adj(0, 1), 1.0);  // input → conv
-  EXPECT_DOUBLE_EQ(adj(1, 0), 0.0);  // no back edges
-}
-
 TEST(CompGraph, NodeFeaturesOneHotPlusScalars) {
   GraphBuilder b("t", {3, 8, 8});
   b.conv(b.input(), 8, 3, 1);
@@ -140,17 +129,55 @@ TEST(CompGraph, NodeFeaturesOneHotPlusScalars) {
   }
 }
 
-TEST(CompGraph, ShortestPathsOnChain) {
-  GraphBuilder b("t", {3, 8, 8});
-  int x = b.conv(b.input(), 8, 3, 1);
-  x = b.relu(x);
-  (void)x;
-  CompGraph g = std::move(b).finish(4);  // adds gap, flatten, linear, softmax
-  auto sp = g.shortest_paths();
-  EXPECT_EQ(sp[0][0], 0);
-  EXPECT_EQ(sp[0][1], 1);
-  EXPECT_EQ(sp[0][2], 2);
-  EXPECT_EQ(sp[2][0], -1);  // directed: cannot go back
+// for_each_virtual_edge against a brute-force oracle: full (uncapped) BFS
+// from every node, then an s-major, t-minor scan of the hop matrix — the
+// (source, target, hops) sequence GHN-2's Eq. 4 lists are built from, order
+// included.
+TEST(CompGraph, VirtualEdgesMatchAllPairsBfs) {
+  std::vector<CompGraph> graphs;
+  for (const auto& m : model_registry()) graphs.push_back(m.build({3, 32, 32}, 10));
+  for (const auto& m : transformer_model_registry()) {
+    graphs.push_back(m.build({1, 128, 1}, 1000));
+  }
+  for (CompGraph& g : sample_darts_corpus(4, 11)) graphs.push_back(std::move(g));
+
+  using Edge = std::tuple<int, int, int>;
+  for (const CompGraph& g : graphs) {
+    const int n = static_cast<int>(g.num_nodes());
+    std::vector<std::vector<int>> hops(static_cast<std::size_t>(n),
+                                       std::vector<int>(static_cast<std::size_t>(n), -1));
+    for (int s = 0; s < n; ++s) {
+      auto& row = hops[static_cast<std::size_t>(s)];
+      row[static_cast<std::size_t>(s)] = 0;
+      std::deque<int> q{s};
+      while (!q.empty()) {
+        const int u = q.front();
+        q.pop_front();
+        for (int v : g.out_edges(u)) {
+          if (row[static_cast<std::size_t>(v)] < 0) {
+            row[static_cast<std::size_t>(v)] = row[static_cast<std::size_t>(u)] + 1;
+            q.push_back(v);
+          }
+        }
+      }
+    }
+    std::vector<int> dist(static_cast<std::size_t>(n), -1);
+    std::vector<int> queue(static_cast<std::size_t>(n));
+    for (int s_max = 2; s_max <= 5; ++s_max) {
+      std::vector<Edge> expect, got;
+      for (int s = 0; s < n; ++s) {
+        for (int t = 0; t < n; ++t) {
+          const int d = hops[static_cast<std::size_t>(s)][static_cast<std::size_t>(t)];
+          if (d > 1 && d <= s_max) expect.emplace_back(s, t, d);
+        }
+      }
+      for_each_virtual_edge(g, s_max, dist.data(), queue.data(),
+                            [&](int s, int t, int d) { got.emplace_back(s, t, d); });
+      EXPECT_EQ(got, expect) << g.name() << " s_max=" << s_max;
+      EXPECT_TRUE(std::all_of(dist.begin(), dist.end(), [](int d) { return d == -1; }))
+          << g.name() << ": dist scratch not restored";
+    }
+  }
 }
 
 TEST(CompGraph, DepthOfLinearChain) {

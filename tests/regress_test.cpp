@@ -6,6 +6,7 @@
 
 #include "core/features.hpp"
 #include "regress/dataset.hpp"
+#include "regress/gp.hpp"
 #include "regress/grid_search.hpp"
 #include "regress/linear.hpp"
 #include "regress/log_target.hpp"
@@ -403,6 +404,69 @@ TEST(Mlp, CloneConfigPreservesHyperparameters) {
   auto clone = mlp.clone_config();
   EXPECT_EQ(clone->name(), "mlp");
   EXPECT_FALSE(clone->fitted());
+}
+
+// save → load restores a fitted regressor: every training row predicts
+// bit-equal, the load consumes exactly the saved bytes, and a section cut
+// short anywhere throws instead of restoring a partial model.
+void expect_round_trip(const Regressor& fitted, const RegressionData& data,
+                       Regressor& restored) {
+  const std::string bytes = saved_bytes(fitted);
+  io::BinaryReader r(bytes, fitted.name());
+  restored.load(r);
+  EXPECT_TRUE(r.at_end()) << fitted.name() << ": load left bytes unread";
+  ASSERT_TRUE(restored.fitted()) << fitted.name();
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    EXPECT_EQ(restored.predict(data.x.row(i)), fitted.predict(data.x.row(i)))
+        << fitted.name() << " row " << i;
+  }
+  std::vector<std::size_t> cuts{bytes.size() - 1};
+  const std::size_t step = std::max<std::size_t>(1, bytes.size() / 256);
+  for (std::size_t cut = 0; cut < bytes.size(); cut += step) cuts.push_back(cut);
+  for (std::size_t cut : cuts) {
+    auto fresh = fitted.clone_config();
+    io::BinaryReader tr(bytes.substr(0, cut), fitted.name());
+    EXPECT_THROW(fresh->load(tr), Error)
+        << fitted.name() << " cut at " << cut << " of " << bytes.size();
+  }
+}
+
+TEST(Svr, SaveLoadRoundTrip) {
+  const auto data = quadratic_data(80, 11);
+  for (SvrKernel kernel : {SvrKernel::kRbf, SvrKernel::kLinear}) {
+    SvrConfig cfg;
+    cfg.kernel = kernel;
+    Svr svr(cfg);
+    svr.fit(data);
+    Svr restored;
+    expect_round_trip(svr, data, restored);
+    EXPECT_EQ(restored.name(), svr.name());
+  }
+}
+
+TEST(Mlp, SaveLoadRoundTrip) {
+  const auto data = quadratic_data(120, 12);
+  MlpRegressorConfig cfg;
+  cfg.hidden_neurons = 4;
+  cfg.epochs = 200;
+  MlpRegressor mlp(cfg);
+  mlp.fit(data);
+  MlpRegressor restored;
+  expect_round_trip(mlp, data, restored);
+}
+
+TEST(Gp, SaveLoadRoundTrip) {
+  const auto data = quadratic_data(60, 14);
+  GpConfig cfg;
+  cfg.length_scale = 0.7;
+  GaussianProcess gp(cfg);
+  gp.fit(data);
+  GaussianProcess restored;
+  expect_round_trip(gp, data, restored);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    EXPECT_EQ(restored.posterior(data.x.row(i)).variance,
+              gp.posterior(data.x.row(i)).variance);
+  }
 }
 
 TEST(GridSearch, PicksInteractionModelForCrossTermTarget) {
